@@ -11,6 +11,7 @@ import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, islice
 
 import numpy as np
 
@@ -61,6 +62,26 @@ def _ensure_primes(n: int) -> list[int]:
                 _primes = [int(p) for p in np.flatnonzero(flags)]
                 _prime_bound = bound
     return _primes
+
+
+def _trial_primes(n: int):
+    """The primes, ascending, as far as trial division of n may need them.
+
+    The shared sieve grows past its current end only when a caller runs out
+    of primes, so trial division sieves no further than it divides: an n
+    near 2^63 with small prime factors does not sieve to its square root.
+    """
+    primes = _ensure_primes(_MIN_SIEVE)
+    if math.isqrt(n) <= primes[-1]:
+        return primes
+    return chain(primes, _primes_beyond(len(primes)))
+
+
+def _primes_beyond(done: int):
+    while True:
+        primes = _ensure_primes(2 * _prime_bound)
+        yield from islice(primes, done, None)
+        done = len(primes)
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -153,7 +174,7 @@ def is_squarefree(n: int) -> bool:
     n = _pos_int(n, "n")
     if n < 4:
         return True
-    for p in _ensure_primes(math.isqrt(n)):
+    for p in _trial_primes(n):
         if p * p > n:
             break
         if n % p == 0:
@@ -271,7 +292,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
     out: list[tuple[int, int]] = []
     if n == 1:
         return out
-    for p in _ensure_primes(max(math.isqrt(n), 2)):
+    for p in _trial_primes(n):
         if p * p > n:
             break
         if n % p == 0:
@@ -315,12 +336,14 @@ def divisor_count(m: int) -> int:
 
 @dataclass(frozen=True)
 class SmoothnessParams:
-    """A validated (range cutoff, smoothness bound) pair, both >= 1."""
+    """A validated (range cutoff, smoothness bound) pair, both finite and >= 1."""
 
     x: float
     y: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise ValueError(f"need finite x and y, got ({self.x}, {self.y})")
         if not (self.x >= 1 and self.y >= 1):
             raise ValueError(f"need x >= 1 and y >= 1, got ({self.x}, {self.y})")
 

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from . import arith
-from ._parallel import map_chunks
 
 __all__ = [
     "CharSumProfile",
@@ -146,30 +145,27 @@ def delta_max(
 ) -> MaxSearchResult:
     """Scan fundamental d in (X_lo, X_hi] (default (X_lo, 2*X_lo]) for the
     largest S_d(x); exact, deterministic, tie-broken by smallest d.
+
+    threads is accepted for compatibility; the scan runs in one thread.
     """
+    hi = 2 * X_lo if X_hi is None else X_hi
+    for name, v in (("X_lo", X_lo), ("x", x), ("X_hi", hi)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
     if X_lo <= 0:
         raise ValueError(f"X_lo must be positive, got {X_lo}")
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    hi = 2 * X_lo if X_hi is None else X_hi
     ds = arith.enumerate_fundamental(math.floor(X_lo), math.floor(hi), include_unit)
     if not ds:
         raise EmptyWindowError(f"no fundamental discriminants in ({X_lo}, {hi}]")
 
-    def scan(chunk):
-        best_d = best_s = None
-        best_key = -math.inf
-        for d in chunk:
-            s = _char_sum_trusted(d, x)
-            key = abs(s) if absolute else s
-            if key > best_key:
-                best_key, best_d, best_s = key, d, s
-        return best_key, best_d, best_s
-
     best_key = -math.inf
     best_d = best_s = None
-    for key, d, s in map_chunks(scan, ds, threads):
-        if key > best_key or (key == best_key and d < best_d):
+    for d in ds:  # ascending, so a strict > leaves ties with the smallest d
+        s = _char_sum_trusted(d, x)
+        key = abs(s) if absolute else s
+        if key > best_key:
             best_key, best_d, best_s = key, d, s
     return MaxSearchResult(
         window_lo=float(X_lo),

@@ -225,6 +225,8 @@ def run(config: ExperimentConfig) -> int:
     """Dispatch a validated config; output files are written only after the
     computation succeeds, so a rejected config never partially executes."""
     try:
+        if config.threads < 1:
+            raise ValueError(f"--threads must be >= 1, got {config.threads}")
         return _DISPATCH[config.command](config)
     except charsums.EmptyWindowError as exc:
         print(f"error: {exc}", file=sys.stderr)

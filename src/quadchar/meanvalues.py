@@ -34,6 +34,8 @@ def mean_value_sum(n: int, X: float) -> int:
     n = int(n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if not math.isfinite(X):
+        raise ValueError(f"X must be finite, got {X}")
     if X < 1:
         raise ValueError(f"X must be >= 1, got {X}")
     limit = math.floor(X)

@@ -22,7 +22,6 @@ from typing import Optional, Union
 
 from . import arith, gcdsum
 from .charsums import EmptyWindowError, _char_sum_trusted
-from ._parallel import map_chunks
 
 __all__ = [
     "TOL_REL",
@@ -156,10 +155,12 @@ def build_resonator(
 ) -> ResonatorSpec:
     """Derive a fully parameterized resonator of the given variant.
 
-    Requires X >= 16 (keeps all iterated logs positive), x >= 2, and
-    0 < alpha, delta < 1/4; the short variant additionally enforces
-    delta <= alpha.
+    Requires finite X >= 16 (keeps all iterated logs positive), finite
+    x >= 2, and 0 < alpha, delta < 1/4; the short variant additionally
+    enforces delta <= alpha.
     """
+    if not (math.isfinite(X) and math.isfinite(x)):
+        raise ValueError(f"need finite X and x, got ({X}, {x})")
     if X < 16:
         raise ValueError(f"X must be >= 16, got {X}")
     if x < 2:
@@ -303,35 +304,25 @@ def _spec_params(spec: ResonatorSpec) -> dict:
 
 def moment_ratio(spec: ResonatorSpec, squared: bool = False, threads: int = 1) -> RatioReport:
     """Scan fundamental d in (X, 2X] once, accumulating M1, M2, and the
-    observed maximum; deterministic for a fixed thread count and within
-    TOL_REL across thread counts."""
+    observed maximum; deterministic.  threads is accepted for compatibility;
+    the scan runs in one thread."""
     X, x = spec.X, spec.x
     ds = arith.enumerate_fundamental(math.floor(X), math.floor(2 * X), include_unit=False)
     if not ds:
         raise EmptyWindowError(f"no fundamental discriminants in ({X}, {2 * X}]")
 
-    def fold(chunk):
-        m1 = _Neumaier()
-        m2 = _Neumaier()
-        best = -math.inf
-        for d in chunk:
-            r = resonator_value(spec, d)
-            w = r * r
-            s = _char_sum_trusted(d, x)
-            v = float(s * s) if squared else float(s)
-            m1.add(w)
-            m2.add(v * w)
-            if v > best:
-                best = v
-        return m1.total(), m2.total(), best
-
     m1 = _Neumaier()
     m2 = _Neumaier()
     observed = -math.inf
-    for p1, p2, pbest in map_chunks(fold, ds, threads):
-        m1.add(p1)
-        m2.add(p2)
-        observed = max(observed, pbest)
+    for d in ds:
+        r = resonator_value(spec, d)
+        w = r * r
+        s = _char_sum_trusted(d, x)
+        v = float(s * s) if squared else float(s)
+        m1.add(w)
+        m2.add(v * w)
+        if v > observed:
+            observed = v
     M1, M2 = m1.total(), m2.total()
     if not M1 > 0:
         raise ValueError("resonator weight vanished on the whole window")

@@ -116,6 +116,48 @@ def test_exit_code_precondition(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("psi", "--x", "inf", "--y", "5"),
+        ("delta-max", "--X", "inf", "--x", "5"),
+        ("delta-max", "--X", "10", "--x", "inf"),
+        ("mean-value", "--n", "4", "--X", "inf"),
+        ("resonate", "--variant", "long", "--X", "inf", "--x", "5"),
+    ],
+    ids=["psi-x", "delta-max-X", "delta-max-x", "mean-value-X", "resonate-X"],
+)
+def test_non_finite_input_exits_2(argv, capsys):
+    assert run_cli(*argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "finite" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exits_2(threads, capsys):
+    for argv in (
+        ("delta-max", "--X", "10", "--x", "5"),
+        ("resonate", "--variant", "short", "--X", "3000", "--x", "25"),
+        ("gcd-sum", "--N", "10"),
+    ):
+        assert run_cli(*argv, "--threads", threads) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --threads must be >= 1, got {threads}\n"
+
+
+def test_gcd_sum_set_file_rejects_repeated_member(tmp_path, capsys):
+    setfile = tmp_path / "m.txt"
+    setfile.write_text("6\n6\n10\n")
+    out = tmp_path / "g.json"
+    assert run_cli("gcd-sum", "--set-file", str(setfile), "--json", str(out)) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith("error:") and "member 6 appears on more than one line" in err
+    assert not out.exists()
+
+
 def test_verify_subcommand_passes(capsys):
     assert run_cli("verify", "meanvalue") == 0
     out = capsys.readouterr().out

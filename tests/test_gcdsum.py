@@ -1,7 +1,10 @@
+import hashlib
 import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quadchar import arith
 from quadchar.gcdsum import (
@@ -45,6 +48,45 @@ def test_gcd_sum_matches_brute_force():
         assert gcd_sum(ms) == pytest.approx(brute_force_gcd_sum(ms.members), rel=1e-10)
 
 
+SMALL_PRIMES = arith.primes_up_to(47)  # the 15 smallest primes
+PRIME_POOL = arith.primes_up_to(1 << 16)
+FIRST_15_PRODUCT = math.prod(SMALL_PRIMES)  # 614889782588491410 < 2^63
+
+
+def _product_below_2_63(primes) -> int:
+    m = 1
+    for p in primes:
+        if m * p < 1 << 63:
+            m *= p
+    return m
+
+
+_members = st.one_of(
+    st.lists(st.sampled_from(SMALL_PRIMES), max_size=15, unique=True),
+    st.lists(
+        st.one_of(st.sampled_from(SMALL_PRIMES), st.sampled_from(PRIME_POOL)),
+        max_size=15,
+        unique=True,
+    ),
+).map(_product_below_2_63)
+_sets = st.one_of(
+    st.lists(_members, min_size=1, max_size=25),
+    st.lists(st.sampled_from(PRIME_POOL), min_size=1, max_size=25),
+    st.lists(_members, max_size=24).map(lambda ms: [1, *ms]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sets)
+@example([1])
+@example([1, 2, 3, 5, 6, 30])
+@example([FIRST_15_PRODUCT, FIRST_15_PRODUCT // 2, 2, 1])
+@example(PRIME_POOL[-25:])
+def test_gcd_sum_matches_brute_force_differential(values):
+    ms = GcdSet.from_iterable(values)
+    assert gcd_sum(ms) == pytest.approx(brute_force_gcd_sum(ms.members), rel=1e-12)
+
+
 def test_gcd_sum_at_least_diagonal():
     rng = random.Random(5)
     for size in (1, 4, 33):
@@ -78,6 +120,19 @@ def test_gcdset_validation():
 def test_construct_extremal_pinned_small():
     assert construct_extremal_set(1).members == (2,)
     assert construct_extremal_set(3).members == (2, 3, 5)
+
+
+# sha256 of repr(members) + "\n" for N = 1..300, 2000, 3000, pinned from the
+# pairwise O(N^2) kernel: the pilot sums pick k, so a change in how gcd_sum
+# rounds must not move the sets.
+EXTREMAL_MEMBERS_SHA256 = "f98aa4b8532c13e3344357600d2c5c27cb22d2dbf815ac17ba68c8380616d86e"
+
+
+def test_construct_extremal_members_pinned():
+    h = hashlib.sha256()
+    for N in [*range(1, 301), 2000, 3000]:
+        h.update(repr(construct_extremal_set(N).members).encode() + b"\n")
+    assert h.hexdigest() == EXTREMAL_MEMBERS_SHA256
 
 
 def test_construct_extremal_properties():
