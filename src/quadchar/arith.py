@@ -11,9 +11,7 @@ import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice
-
-import numpy as np
+from itertools import chain, compress, islice
 
 __all__ = [
     "Discriminant",
@@ -38,14 +36,31 @@ __all__ = [
 _LOCK = threading.RLock()
 _MIN_SIEVE = 1 << 12
 
+# The largest bound each cached sieve may grow to, one per kind.  A request
+# past it raises ValueError before anything is allocated.  Peak memory at the
+# budget: about 3 bytes per entry for the flags (squarefree, pos, neg), 1 byte
+# plus the prime list for the prime sieve, 36 bytes per entry for the spf list.
+PRIME_SIEVE_BUDGET = 10**8
+SPF_SIEVE_BUDGET = 10**7
+SQUAREFREE_SIEVE_BUDGET = 10**8
+FUNDAMENTAL_SIEVE_BUDGET = 10**8
+
 _primes: list[int] = []
 _prime_bound = -1
 _spf: list[int] = []
 _spf_bound = -1
-_sqfree: np.ndarray = np.zeros(0, dtype=bool)
+_sqfree = bytearray()
 _sqfree_bound = -1
-_fund: tuple[np.ndarray, np.ndarray] = (np.zeros(0, dtype=bool), np.zeros(0, dtype=bool))
+_fund: tuple[bytearray, bytearray] = (bytearray(), bytearray())
 _fund_bound = -1
+
+
+def _grown_bound(n: int, bound: int, budget: int, kind: str) -> int:
+    """The bound to grow a sieve to so that it covers n: at least double the
+    current one, never past the budget, and an error if n itself is past it."""
+    if n > budget:
+        raise ValueError(f"{kind} sieve up to {n} exceeds its budget of {budget}")
+    return min(max(n, 2 * bound, _MIN_SIEVE), budget)
 
 
 def _ensure_primes(n: int) -> list[int]:
@@ -53,13 +68,13 @@ def _ensure_primes(n: int) -> list[int]:
     if n > _prime_bound:
         with _LOCK:
             if n > _prime_bound:
-                bound = max(n, 2 * _prime_bound, _MIN_SIEVE)
-                flags = np.ones(bound + 1, dtype=bool)
-                flags[:2] = False
+                bound = _grown_bound(n, _prime_bound, PRIME_SIEVE_BUDGET, "prime")
+                flags = bytearray([1]) * (bound + 1)
+                flags[:2] = b"\0\0"
                 for p in range(2, math.isqrt(bound) + 1):
                     if flags[p]:
-                        flags[p * p :: p] = False
-                _primes = [int(p) for p in np.flatnonzero(flags)]
+                        flags[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
+                _primes = list(compress(range(bound + 1), flags))
                 _prime_bound = bound
     return _primes
 
@@ -70,6 +85,7 @@ def _trial_primes(n: int):
     The shared sieve grows past its current end only when a caller runs out
     of primes, so trial division sieves no further than it divides: an n
     near 2^63 with small prime factors does not sieve to its square root.
+    Past the prime budget it raises ValueError.
     """
     primes = _ensure_primes(_MIN_SIEVE)
     if math.isqrt(n) <= primes[-1]:
@@ -79,7 +95,8 @@ def _trial_primes(n: int):
 
 def _primes_beyond(done: int):
     while True:
-        primes = _ensure_primes(2 * _prime_bound)
+        # Double, but stop at the budget once before going past it.
+        primes = _ensure_primes(max(min(2 * _prime_bound, PRIME_SIEVE_BUDGET), _prime_bound + 1))
         yield from islice(primes, done, None)
         done = len(primes)
 
@@ -102,29 +119,27 @@ def smallest_prime_factors(n: int) -> list[int]:
     if n > _spf_bound:
         with _LOCK:
             if n > _spf_bound:
-                bound = max(n, 2 * _spf_bound, _MIN_SIEVE)
-                spf = np.arange(bound + 1, dtype=np.int64)
-                spf[1] = 1
-                for p in range(2, math.isqrt(bound) + 1):
-                    if spf[p] == p:
-                        sl = spf[p * p :: p]
-                        idx = np.arange(p * p, bound + 1, p, dtype=np.int64)
-                        sl[sl == idx] = p
-                _spf = spf.tolist()
+                bound = _grown_bound(n, _spf_bound, SPF_SIEVE_BUDGET, "smallest-prime-factor")
+                spf = list(range(bound + 1))
+                # Descending, so the last write to each entry is its smallest
+                # prime factor (every composite k has one with p * p <= k).
+                for p in reversed(primes_up_to(math.isqrt(bound))):
+                    spf[p * p :: p] = [p] * len(range(p * p, bound + 1, p))
+                _spf = spf
                 _spf_bound = bound
     return _spf
 
 
-def _squarefree_flags(n: int) -> np.ndarray:
+def _squarefree_flags(n: int) -> bytearray:
     global _sqfree, _sqfree_bound
     if n > _sqfree_bound:
         with _LOCK:
             if n > _sqfree_bound:
-                bound = max(n, 2 * _sqfree_bound, _MIN_SIEVE)
-                flags = np.ones(bound + 1, dtype=bool)
-                flags[0] = False
+                bound = _grown_bound(n, _sqfree_bound, SQUAREFREE_SIEVE_BUDGET, "squarefree")
+                flags = bytearray([1]) * (bound + 1)
+                flags[0] = 0
                 for p in primes_up_to(math.isqrt(bound)):
-                    flags[p * p :: p * p] = False
+                    flags[p * p :: p * p] = bytes(len(range(p * p, bound + 1, p * p)))
                 _sqfree = flags
                 _sqfree_bound = bound
     return _sqfree
@@ -203,29 +218,30 @@ def is_fundamental(d: int) -> bool:
     return False
 
 
-def fundamental_flags(limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean arrays (pos, neg) with pos[v] = is_fundamental(v) and
-    neg[w] = is_fundamental(-w) for 0 <= v, w <= limit.
+def fundamental_flags(limit: int) -> tuple[bytearray, bytearray]:
+    """Flag bytearrays (pos, neg) with pos[v] = is_fundamental(v) and
+    neg[w] = is_fundamental(-w) for 0 <= v, w <= limit (1 true, 0 false).
 
-    Shared cached arrays; treat them as read-only.
+    Shared cached arrays; treat them as read-only.  A limit past
+    FUNDAMENTAL_SIEVE_BUDGET raises ValueError.
     """
     global _fund, _fund_bound
     limit = max(int(limit), 1)
     if limit > _fund_bound:
         with _LOCK:
             if limit > _fund_bound:
-                bound = max(limit, 2 * _fund_bound, _MIN_SIEVE)
-                sq = _squarefree_flags(bound)[: bound + 1]
-                v = np.arange(bound + 1, dtype=np.int64)
-                r4 = v & 3
-                q = v >> 2
-                mq = q & 3
-                sq_q = sq[q]
-                div4 = r4 == 0
-                pos = ((r4 == 1) & sq) | (div4 & ((mq == 2) | (mq == 3)) & sq_q)
-                neg = ((r4 == 3) & sq) | (div4 & ((mq == 1) | (mq == 2)) & sq_q)
-                pos[0] = False
-                neg[0] = False
+                bound = _grown_bound(limit, _fund_bound, FUNDAMENTAL_SIEVE_BUDGET, "fundamental")
+                sq = _squarefree_flags(bound)
+                pos = bytearray(bound + 1)
+                neg = bytearray(bound + 1)
+                # v = 1 mod 4 (and -w with w = 3 mod 4) needs v squarefree;
+                # v = 4m needs m = 2, 3 mod 4 squarefree: v = 8, 12 mod 16
+                # for pos, and w = 8, 4 mod 16 (m = -w/4 = 2, 3 mod 4) for neg.
+                pos[1::4] = sq[1 : bound + 1 : 4]
+                neg[3::4] = sq[3 : bound + 1 : 4]
+                for flags, start, m0 in ((pos, 8, 2), (pos, 12, 3), (neg, 4, 1), (neg, 8, 2)):
+                    count = len(range(start, bound + 1, 16))
+                    flags[start::16] = sq[m0 : m0 + 4 * count : 4]
                 _fund = (pos, neg)
                 _fund_bound = bound
     return _fund
@@ -244,14 +260,14 @@ def enumerate_fundamental(lo: int, hi: int, include_unit: bool = True) -> list[i
     pos, neg = fundamental_flags(limit)
     out: list[int] = []
     if lo_i + 1 <= -1:
+        # d = -w for w from -(lo + 1) down to max(1, -hi): ascending in d.
         w_hi = -(lo_i + 1)
         w_lo = max(1, -min(hi_i, -1))
-        ws = np.flatnonzero(neg[w_lo : w_hi + 1]) + w_lo
-        out.extend(-int(w) for w in ws[::-1])
+        ws = range(w_hi, w_lo - 1, -1)
+        out.extend(-w for w in compress(ws, neg[w_hi : w_lo - 1 : -1]))
     if hi_i >= 1:
         p_lo = max(lo_i + 1, 1)
-        ps = np.flatnonzero(pos[p_lo : hi_i + 1]) + p_lo
-        out.extend(int(p) for p in ps)
+        out.extend(compress(range(p_lo, hi_i + 1), pos[p_lo : hi_i + 1]))
     if not include_unit and lo_i < 1 <= hi_i:
         out.remove(1)
     return out

@@ -6,8 +6,6 @@ error envelopes (implied constants taken as 1; reported, never asserted).
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import arith
 
 __all__ = [
@@ -19,13 +17,32 @@ __all__ = [
 ]
 
 _INV_ZETA2 = 6.0 / math.pi**2
+_CHI_MOD_8 = (0, 1, 0, -1, 0, -1, 0, 1)  # chi_d(2) by d mod 8
 
 
-def _char_table_mod_8n(n: int) -> np.ndarray:
-    # d -> chi_d(n) is periodic in d with period 8n (tested in the suite),
-    # which turns the scan over d into a table lookup.
-    period = 8 * n
-    return np.array([arith.kronecker(r, n) for r in range(period)], dtype=np.int64)
+def _char_table(n: int) -> list[int]:
+    """t with t[r] = chi_d(n) for every d = r mod P, where P = len(t).
+
+    chi_d(n) = prod chi_d(p)^e over p^e || n.  For odd p, chi_d(p) is the
+    Legendre symbol of d mod p, read from the squares mod p; chi_d(2) is read
+    from d mod 8.  By CRT the product depends only on d mod P, with P the
+    product of the odd primes dividing n, times 8 when n is even.
+    """
+    factors = arith.factorize(n)
+    period = math.prod(8 if p == 2 else p for p, _ in factors)
+    table = [1] * period
+    for p, e in factors:
+        if p == 2:
+            chi = _CHI_MOD_8
+        else:
+            chi = [-1] * p
+            chi[0] = 0
+            for k in range(1, (p + 1) // 2):
+                chi[k * k % p] = 1
+        if e % 2 == 0:
+            chi = [c * c for c in chi]
+        table = [t * c for t, c in zip(table, chi * (period // len(chi)))]
+    return table
 
 
 def mean_value_sum(n: int, X: float) -> int:
@@ -40,15 +57,17 @@ def mean_value_sum(n: int, X: float) -> int:
         raise ValueError(f"X must be >= 1, got {X}")
     limit = math.floor(X)
     pos, neg = arith.fundamental_flags(limit)
-    tbl = _char_table_mod_8n(n)
-    period = tbl.shape[0]
+    pos, neg = pos[: limit + 1], neg[: limit + 1]
+    table = _char_table(n)
+    period = len(table)
+    # Sum table[r] times the number of fundamental d = r mod P; the negative
+    # d = -w with w = r mod P take table[-r mod P].
     total = 0
-    idx = np.flatnonzero(pos[: limit + 1])
-    if idx.size:
-        total += int(tbl[idx % period].sum())
-    idx = np.flatnonzero(neg[: limit + 1])
-    if idx.size:
-        total += int(tbl[(-idx) % period].sum())
+    for r in range(min(period, limit + 1)):
+        if table[r]:
+            total += table[r] * pos[r::period].count(1)
+        if table[-r]:
+            total += table[-r] * neg[r::period].count(1)
     return total
 
 
@@ -60,8 +79,9 @@ def mean_value_window_sum(n: int, lo: float, hi: float, include_unit: bool = Tru
     ds = arith.enumerate_fundamental(math.floor(lo), math.floor(hi), include_unit)
     if not ds:
         return 0
-    tbl = _char_table_mod_8n(n)
-    return int(tbl[np.mod(np.array(ds, dtype=np.int64), tbl.shape[0])].sum())
+    table = _char_table(n)
+    period = len(table)
+    return sum(table[d % period] for d in ds)
 
 
 def mean_value_main_term(n: int, X: float) -> float:

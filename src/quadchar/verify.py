@@ -144,7 +144,7 @@ def _arith_psi_monotone() -> CheckResult:
 def _arith_fundamental_density() -> CheckResult:
     X = 10**6
     pos, neg = arith.fundamental_flags(X)
-    count = int(pos[: X + 1].sum()) + int(neg[: X + 1].sum())
+    count = pos[: X + 1].count(1) + neg[: X + 1].count(1)
     target = X * 6.0 / math.pi**2
     rel = abs(count - target) / target
     members_ok = all(arith.is_fundamental(d) for d in arith.enumerate_fundamental(-50, 50))
@@ -234,7 +234,7 @@ def _meanvalue_nonsquare_cancellation() -> CheckResult:
 def _meanvalue_unit_count() -> CheckResult:
     X = 10**5
     pos, neg = arith.fundamental_flags(X)
-    count = int(pos[: X + 1].sum()) + int(neg[: X + 1].sum())
+    count = pos[: X + 1].count(1) + neg[: X + 1].count(1)
     ok = meanvalues.mean_value_sum(1, X) == count
     naive = sum(
         arith.kronecker(d, 1) for d in arith.enumerate_fundamental(-1001, 1000)

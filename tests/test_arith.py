@@ -1,7 +1,11 @@
+import contextlib
+import functools
 import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quadchar import arith
 from quadchar.arith import (
@@ -250,6 +254,103 @@ def test_primes_up_to():
 def test_fundamental_density_at_1e5():
     X = 10**5
     pos, neg = arith.fundamental_flags(X)
-    count = int(pos[: X + 1].sum()) + int(neg[: X + 1].sum())
+    count = pos[: X + 1].count(1) + neg[: X + 1].count(1)
     target = X * 6 / math.pi**2
     assert abs(count - target) / target < 0.01
+
+
+ORACLE_MAX = 3000
+_SIEVE_STATE = (
+    "_primes", "_prime_bound", "_spf", "_spf_bound", "_sqfree", "_sqfree_bound",
+    "_fund", "_fund_bound", "_MIN_SIEVE", "FUNDAMENTAL_SIEVE_BUDGET",
+)
+
+
+@contextlib.contextmanager
+def exact_sieves():
+    """Empty sieve caches that grow to exactly the bound asked for (2 at
+    least); the shared caches and budgets are put back afterwards."""
+    saved = {name: getattr(arith, name) for name in _SIEVE_STATE}
+    arith._prime_bound = arith._spf_bound = arith._sqfree_bound = arith._fund_bound = -1
+    arith._MIN_SIEVE = 2
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            setattr(arith, name, value)
+
+
+@functools.cache
+def trial_division_spf() -> list[int]:
+    """Smallest prime factor of 0..ORACLE_MAX by trial division (t[0] = 0, t[1] = 1)."""
+
+    def spf(k):
+        return next((p for p in range(2, math.isqrt(k) + 1) if k % p == 0), k)
+
+    return [0, 1] + [spf(k) for k in range(2, ORACLE_MAX + 1)]
+
+
+@functools.cache
+def fundamental_oracle() -> tuple[list[int], list[int]]:
+    """is_fundamental(v) and is_fundamental(-w) as 0/1 for 0..ORACLE_MAX."""
+    pos = [0] + [int(is_fundamental(v)) for v in range(1, ORACLE_MAX + 1)]
+    neg = [0] + [int(is_fundamental(-w)) for w in range(1, ORACLE_MAX + 1)]
+    return pos, neg
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=2, max_value=ORACLE_MAX))
+@example(2)
+@example(4)
+@example(ORACLE_MAX)
+def test_sieves_match_trial_division(n):
+    with exact_sieves():
+        primes = primes_up_to(n)
+        spf = list(arith.smallest_prime_factors(n))
+        bounds = (arith._prime_bound, arith._spf_bound)
+    want = trial_division_spf()[: n + 1]
+    assert bounds == (n, n)
+    assert primes == [k for k in range(2, n + 1) if want[k] == k]
+    assert spf == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=2, max_value=ORACLE_MAX))
+@example(2)
+@example(16)
+@example(ORACLE_MAX)
+def test_fundamental_flags_match_is_fundamental(limit):
+    with exact_sieves():
+        pos, neg = (bytes(flags) for flags in arith.fundamental_flags(limit))
+    want_pos, want_neg = fundamental_oracle()
+    assert len(pos) == len(neg) == limit + 1
+    assert list(pos) == want_pos[: limit + 1]
+    assert list(neg) == want_neg[: limit + 1]
+
+
+def test_sieve_growth_stops_at_budget():
+    assert arith._grown_bound(10, 5000, 10**6, "test") == 10000
+    assert arith._grown_bound(600, 500, 700, "test") == 700
+    assert arith._grown_bound(5000, 500, 10**6, "test") == 5000
+    with pytest.raises(ValueError, match="budget"):
+        arith._grown_bound(701, 500, 700, "test")
+    with exact_sieves():
+        arith.FUNDAMENTAL_SIEVE_BUDGET = 1000
+        arith.fundamental_flags(600)
+        arith.fundamental_flags(700)  # doubling would ask for 1200
+        assert arith._fund_bound == 1000
+        with pytest.raises(ValueError, match="budget"):
+            arith.fundamental_flags(1001)
+        assert arith._fund_bound == 1000
+
+
+def test_sieves_past_budget_raise_before_allocating():
+    # Each request is one past its budget, so it must fail on the size check.
+    for sieve, budget in (
+        (arith.fundamental_flags, arith.FUNDAMENTAL_SIEVE_BUDGET),
+        (arith._squarefree_flags, arith.SQUAREFREE_SIEVE_BUDGET),
+        (arith.smallest_prime_factors, arith.SPF_SIEVE_BUDGET),
+        (primes_up_to, arith.PRIME_SIEVE_BUDGET),
+    ):
+        with pytest.raises(ValueError, match="exceeds its budget"):
+            sieve(budget + 1)

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import quadchar
 from quadchar import cli
 
 
@@ -132,6 +134,35 @@ def test_non_finite_input_exits_2(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error:") and "finite" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("delta-max", "--X", "1e12", "--x", "5"), ("mean-value", "--n", "3", "--X", "1e12")],
+    ids=["delta-max", "mean-value"],
+)
+def test_sieve_past_budget_exits_2(argv, capsys):
+    # Far past the fundamental sieve budget: refused before anything is allocated.
+    assert run_cli(*argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "exceeds its budget" in err and err.count("\n") == 1
+
+
+def test_cli_never_imports_numpy():
+    code = (
+        "import sys\n"
+        "import quadchar, quadchar.cli\n"
+        "for argv in (['psi', '--x', '100', '--y', '5'], ['delta-max', '--X', '10', '--x', '5'],\n"
+        "             ['mean-value', '--n', '4', '--X', '1e3']):\n"
+        "    assert quadchar.cli.main(argv) == 0, argv\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    src = os.path.dirname(os.path.dirname(quadchar.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])

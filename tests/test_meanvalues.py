@@ -1,9 +1,12 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quadchar import arith
 from quadchar.meanvalues import (
+    _char_table,
     mean_value_main_term,
     mean_value_report,
     mean_value_sum,
@@ -35,6 +38,50 @@ def test_numerator_periodicity_mod_8n():
         period = 8 * n
         for d in arith.enumerate_fundamental(-301, 300):
             assert arith.kronecker(d, n) == arith.kronecker(d % period, n), (d, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=1000))
+@example(1)
+@example(2)
+@example(8)
+@example(9)
+@example(72)
+@example(2 * 3 * 5 * 7 * 11)
+def test_char_table_matches_kronecker(n):
+    table = _char_table(n)
+    odd = math.prod(p for p, _ in arith.factorize(n) if p > 2)
+    assert len(table) == (8 if n % 2 == 0 else 1) * odd
+    assert table == [arith.kronecker(r, n) for r in range(len(table))]
+
+
+# Even n, squares, n with p^2 | n, and n = 1; X ranges below and above the
+# table period P, and windows may span zero.
+_mean_value_n = st.one_of(
+    st.integers(min_value=1, max_value=400),
+    st.integers(min_value=1, max_value=30).map(lambda k: k * k),
+    st.builds(lambda p, m: p * p * m, st.sampled_from((2, 3, 5, 7, 11)), st.integers(1, 40)),
+    st.integers(min_value=0, max_value=10).map(lambda k: 2**k),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mean_value_n, st.integers(min_value=1, max_value=1500))
+@example(1, 1)
+@example(2, 3)
+@example(4, 1500)
+@example(997, 20)
+def test_mean_value_sum_matches_kronecker_oracle(n, X):
+    assert mean_value_sum(n, X) == naive_mean_value_sum(n, X)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mean_value_n, st.integers(min_value=-1500, max_value=1500),
+       st.integers(min_value=1, max_value=1500), st.booleans())
+def test_window_sum_matches_kronecker_oracle(n, lo, width, include_unit):
+    ds = arith.enumerate_fundamental(lo, lo + width, include_unit)
+    want = sum(arith.kronecker(d, n) for d in ds)
+    assert mean_value_window_sum(n, lo, lo + width, include_unit) == want
 
 
 def test_main_term_values():
