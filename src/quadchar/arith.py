@@ -44,6 +44,10 @@ PRIME_SIEVE_BUDGET = 10**8
 SPF_SIEVE_BUDGET = 10**7
 SQUAREFREE_SIEVE_BUDGET = 10**8
 FUNDAMENTAL_SIEVE_BUDGET = 10**8
+# The most entries a table of smooth numbers may hold, checked before each
+# block of new entries is allocated.  Peak memory at the budget: about 50
+# bytes per entry (int objects, the list and the returned tuple).
+SMOOTH_TABLE_BUDGET = 10**7
 
 _primes: list[int] = []
 _prime_bound = -1
@@ -366,17 +370,24 @@ class SmoothnessParams:
 
 @lru_cache(maxsize=16)
 def _smooth_table(cap: int, ybound: int) -> tuple[int, ...]:
+    # vals stays sorted, so for each power w of p the new entries v*w <= cap
+    # come from a prefix of the entries made from smaller primes; its length
+    # is checked against the budget before the block is built.
     vals = [1]
     for p in primes_up_to(ybound):
+        n = len(vals)
         w = p
-        extra = []
-        for v in vals:
-            w = v * p
-            while w <= cap:
-                extra.append(w)
-                w *= p
-        vals.extend(extra)
-    vals.sort()
+        while w <= cap:
+            k = bisect_right(vals, cap // w, 0, n)
+            if len(vals) + k > SMOOTH_TABLE_BUDGET:
+                raise ValueError(
+                    f"table of {ybound}-smooth numbers up to {cap} exceeds its budget "
+                    f"of {SMOOTH_TABLE_BUDGET} entries"
+                )
+            vals += [v * w for v in vals[:k]]
+            w *= p
+        if len(vals) > n:
+            vals.sort()
     return tuple(vals)
 
 

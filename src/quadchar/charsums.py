@@ -141,13 +141,9 @@ def delta_max(
     X_hi: float | None = None,
     include_unit: bool = False,
     absolute: bool = False,
-    threads: int = 1,
 ) -> MaxSearchResult:
     """Scan fundamental d in (X_lo, X_hi] (default (X_lo, 2*X_lo]) for the
-    largest S_d(x); exact, deterministic, tie-broken by smallest d.
-
-    threads is accepted for compatibility; the scan runs in one thread.
-    """
+    largest S_d(x); exact, deterministic, tie-broken by smallest d."""
     hi = 2 * X_lo if X_hi is None else X_hi
     for name, v in (("X_lo", X_lo), ("x", x), ("X_hi", hi)):
         if not math.isfinite(v):

@@ -11,6 +11,11 @@ Subcommands:
 Numeric options accept scientific notation (1e6).  All logarithms anywhere
 in this package are natural.  Exit codes: 0 success, 2 precondition failure,
 3 empty window, 1 I/O or internal failure.
+
+--threads (delta-max, resonate, gcd-sum) exists only here: a value below 1
+exits 2, and any other value is ignored, since every scan and sum runs in
+one thread.  No library function takes a thread count.  The acceptance
+criteria 1, 2, 5, 6, 7 and 8 run the shared checks of the verify suites.
 """
 
 import argparse
@@ -18,39 +23,15 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 from . import arith, charsums, gcdsum, meanvalues, resonance, verify
 
-__all__ = ["ExperimentConfig", "TheoremReport", "run", "main", "predicted_shape"]
+__all__ = ["run", "main", "predicted_shape"]
 
 EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
 EXIT_PRECONDITION = 2
 EXIT_EMPTY_WINDOW = 3
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One fully parsed CLI invocation, validated before anything executes."""
-
-    command: str
-    params: dict = field(default_factory=dict)
-    json_path: str | None = None
-    csv_path: str | None = None
-    threads: int = 1
-    include_unit: bool = False
-
-
-@dataclass(frozen=True)
-class TheoremReport:
-    """A window-scan report next to the matching displayed lower-bound shape
-    evaluated with every o(1) set to 0.  Reference only, never asserted."""
-
-    theorem: str
-    ratio_report: resonance.RatioReport
-    predicted_shape: float | None
-    observed_max: float
 
 
 def predicted_shape(variant: str, X: float, x: float) -> float | None:
@@ -93,20 +74,15 @@ def _write_csv(path: str, header, row) -> None:
         w.writerow(row)
 
 
-def _cmd_psi(cfg: ExperimentConfig) -> int:
-    p = arith.SmoothnessParams(cfg.params["x"], cfg.params["y"])
+def _cmd_psi(args: argparse.Namespace) -> int:
+    p = arith.SmoothnessParams(args.x, args.y)
     print(arith.psi_count(p.x, p.y))
     return EXIT_OK
 
 
-def _cmd_delta_max(cfg: ExperimentConfig) -> int:
+def _cmd_delta_max(args: argparse.Namespace) -> int:
     res = charsums.delta_max(
-        cfg.params["X"],
-        cfg.params["x"],
-        X_hi=cfg.params.get("hi"),
-        include_unit=cfg.include_unit,
-        absolute=cfg.params.get("absolute", False),
-        threads=cfg.threads,
+        args.X, args.x, X_hi=args.hi, include_unit=args.include_unit, absolute=args.abs
     )
     print(
         f"window=({res.window_lo:g},{res.window_hi:g}] x={res.x:g} "
@@ -114,93 +90,77 @@ def _cmd_delta_max(cfg: ExperimentConfig) -> int:
     )
     if abs(res.d_star) >= 2:
         print(f"pv_baseline(d_star)={charsums.pv_baseline(res.d_star):.6g}")
-    if cfg.json_path:
-        _write_json(cfg.json_path, res.to_json_dict())
-    if cfg.csv_path:
-        _write_csv(cfg.csv_path, res.CSV_HEADER, res.to_csv_row())
+    if args.json:
+        _write_json(args.json, res.to_json_dict())
+    if args.csv:
+        _write_csv(args.csv, res.CSV_HEADER, res.to_csv_row())
     return EXIT_OK
 
 
-def _cmd_mean_value(cfg: ExperimentConfig) -> int:
-    rep = meanvalues.mean_value_report(
-        cfg.params["n"], cfg.params["X"], cfg.params.get("eps", 0.05)
-    )
+def _cmd_mean_value(args: argparse.Namespace) -> int:
+    rep = meanvalues.mean_value_report(args.n, args.X, args.eps)
     print(
         f"n={rep.n} X={rep.X:g} exact={rep.exact_sum} main={rep.main_term:.6g} "
         f"residual={rep.residual:.6g} uncond_env={rep.unconditional_envelope:.6g} "
         f"grh_env={rep.grh_envelope:.6g}"
     )
-    if cfg.json_path:
-        _write_json(cfg.json_path, rep.to_json_dict())
-    if cfg.csv_path:
-        _write_csv(cfg.csv_path, rep.CSV_HEADER, rep.to_csv_row())
+    if args.json:
+        _write_json(args.json, rep.to_json_dict())
+    if args.csv:
+        _write_csv(args.csv, rep.CSV_HEADER, rep.to_csv_row())
     return EXIT_OK
 
 
-def _cmd_resonate(cfg: ExperimentConfig) -> int:
+def _cmd_resonate(args: argparse.Namespace) -> int:
     spec = resonance.build_resonator(
-        cfg.params["variant"],
-        cfg.params["X"],
-        cfg.params["x"],
-        alpha=cfg.params.get("alpha", 0.01),
-        delta=cfg.params.get("delta", 0.01),
+        args.variant, args.X, args.x, alpha=args.alpha, delta=args.delta
     )
-    rep = resonance.moment_ratio(spec, squared=cfg.params.get("squared", False), threads=cfg.threads)
-    trep = TheoremReport(
-        theorem=_THEOREM_BY_VARIANT[spec.variant],
-        ratio_report=rep,
-        predicted_shape=predicted_shape(spec.variant, spec.X, spec.x),
-        observed_max=rep.observed_max,
-    )
+    rep = resonance.moment_ratio(spec, squared=args.squared)
+    theorem = _THEOREM_BY_VARIANT[spec.variant]
+    shape = predicted_shape(spec.variant, spec.X, spec.x)
     print(
         f"variant={spec.variant} X={rep.X:g} x={rep.x:g} M1={rep.M1:.6g} M2={rep.M2:.6g} "
         f"ratio={rep.ratio:.6g} observed_max={rep.observed_max:g} "
         f"holds={rep.inequality_holds} scanned={rep.discriminants_scanned}"
     )
-    shape = trep.predicted_shape
     shape_str = "n/a" if shape is None else f"{shape:.6g}"
-    print(f"theorem {trep.theorem} reference shape (o(1)=0): {shape_str}")
+    print(f"theorem {theorem} reference shape (o(1)=0): {shape_str}")
     if isinstance(spec, resonance.ShortResonator):
         chain = resonance.short_chain_bound(spec, spec.x)
         print(
             f"short chain: sum a_k*prod(p/(p+1))={chain.bound:.6g} "
             f"sum a_k={chain.coefficient_sum:.6g} psi={chain.psi}"
         )
-    if cfg.json_path:
+    if args.json:
         payload = rep.to_json_dict()
-        payload["theorem"] = trep.theorem
-        payload["predicted_shape"] = trep.predicted_shape
-        _write_json(cfg.json_path, payload)
-    if cfg.csv_path:
-        _write_csv(cfg.csv_path, rep.CSV_HEADER, rep.to_csv_row())
+        payload["theorem"] = theorem
+        payload["predicted_shape"] = shape
+        _write_json(args.json, payload)
+    if args.csv:
+        _write_csv(args.csv, rep.CSV_HEADER, rep.to_csv_row())
     return EXIT_OK
 
 
-def _cmd_gcd_sum(cfg: ExperimentConfig) -> int:
-    if cfg.params.get("set_file"):
-        mset = gcdsum.load_gcd_set(cfg.params["set_file"])
+def _cmd_gcd_sum(args: argparse.Namespace) -> int:
+    if args.set_file:
+        mset = gcdsum.load_gcd_set(args.set_file)
     else:
-        mset = gcdsum.construct_extremal_set(cfg.params["N"])
-    total = gcdsum.gcd_sum(mset, threads=cfg.threads)
+        mset = gcdsum.construct_extremal_set(args.N)
+    total = gcdsum.gcd_sum(mset)
     ref = gcdsum.gcd_sum_reference(mset.N) if mset.N >= 16 else None
     ref_str = "n/a" if ref is None else f"{ref:.6g}"
     print(f"N={mset.N} y_M={mset.y_M} gcd_sum={total:.10g} reference={ref_str}")
-    if cfg.params.get("out_set"):
-        gcdsum.save_gcd_set(mset, cfg.params["out_set"])
-    if cfg.json_path:
-        _write_json(
-            cfg.json_path,
-            {"N": mset.N, "y_M": mset.y_M, "gcd_sum": total, "reference": ref},
-        )
-    if cfg.csv_path:
-        _write_csv(
-            cfg.csv_path, ("N", "y_M", "gcd_sum", "reference"), (mset.N, mset.y_M, total, ref)
-        )
+    if args.out_set:
+        gcdsum.save_gcd_set(mset, args.out_set)
+    if args.json:
+        _write_json(args.json, {"N": mset.N, "y_M": mset.y_M, "gcd_sum": total, "reference": ref})
+    if args.csv:
+        _write_csv(args.csv, ("N", "y_M", "gcd_sum", "reference"), (mset.N, mset.y_M, total, ref))
     return EXIT_OK
 
 
-def _cmd_verify(cfg: ExperimentConfig) -> int:
-    results = verify.run_suite(cfg.params["suite"])
+def _cmd_verify(args: argparse.Namespace) -> int:
+    results = verify.run_suite(args.suite)
     failed = 0
     for r in results:
         tag = "PASS" if r.passed else "FAIL"
@@ -221,13 +181,15 @@ _DISPATCH = {
 }
 
 
-def run(config: ExperimentConfig) -> int:
-    """Dispatch a validated config; output files are written only after the
-    computation succeeds, so a rejected config never partially executes."""
+def run(args: argparse.Namespace) -> int:
+    """Dispatch parsed arguments and map failures to exit codes; output files
+    are written only after the computation succeeds, so a rejected request
+    never partially executes."""
     try:
-        if config.threads < 1:
-            raise ValueError(f"--threads must be >= 1, got {config.threads}")
-        return _DISPATCH[config.command](config)
+        threads = getattr(args, "threads", 1)
+        if threads < 1:
+            raise ValueError(f"--threads must be >= 1, got {threads}")
+        return _DISPATCH[args.command](args)
     except charsums.EmptyWindowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY_WINDOW
@@ -295,40 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    params: dict = {}
-    if args.command == "psi":
-        params = {"x": args.x, "y": args.y}
-    elif args.command == "delta-max":
-        params = {"X": args.X, "x": args.x, "hi": args.hi, "absolute": args.abs}
-    elif args.command == "mean-value":
-        params = {"n": args.n, "X": args.X, "eps": args.eps}
-    elif args.command == "resonate":
-        params = {
-            "variant": args.variant,
-            "X": args.X,
-            "x": args.x,
-            "alpha": args.alpha,
-            "delta": args.delta,
-            "squared": args.squared,
-        }
-    elif args.command == "gcd-sum":
-        params = {"N": args.N, "set_file": args.set_file, "out_set": args.out_set}
-    elif args.command == "verify":
-        params = {"suite": args.suite}
-    return ExperimentConfig(
-        command=args.command,
-        params=params,
-        json_path=getattr(args, "json", None),
-        csv_path=getattr(args, "csv", None),
-        threads=getattr(args, "threads", 1),
-        include_unit=getattr(args, "include_unit", False),
-    )
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return run(_config_from_args(args))
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -53,7 +53,7 @@ class GcdSet:
         return len(self.members)
 
 
-def gcd_sum(mset, threads: int = 1) -> float:
+def gcd_sum(mset) -> float:
     """Double sum of sqrt((m,n)/[m,n]) over all ordered pairs of the set
     (diagonal included), accumulated with math.fsum.
 
@@ -61,7 +61,6 @@ def gcd_sum(mset, threads: int = 1) -> float:
     gcd(m,n) = sum_{e|(m,n)} phi(e) the double sum becomes
     sum_e phi(e) * (sum_{m in M, e|m} m^-1/2)^2, and a squarefree m has only
     2^omega(m) divisors e: O(sum of 2^omega(m)) work instead of O(N^2).
-    threads is accepted for compatibility; the sum runs in one thread.
     """
     members = mset.members if isinstance(mset, GcdSet) else GcdSet.from_iterable(mset).members
     phi_of: dict[int, int] = {}

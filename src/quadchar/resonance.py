@@ -18,7 +18,7 @@ which keeps every report well defined at desk scale.
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from . import arith, gcdsum
 from .charsums import EmptyWindowError, _char_sum_trusted
@@ -146,6 +146,24 @@ def _medium_rate(lam: float, p: int) -> float:
     return lam / (math.sqrt(p) * math.log(p))
 
 
+def _medium_window(y: float, lower: Callable[[float], float]):
+    """The medium prime window for a cap y > e, as (lam, lo, hi, primes, support).
+
+    lam = sqrt(log y loglog y), and the window is [lo, hi] with
+    hi = e^(log lam)^2, capped at y.  support holds every squarefree product
+    n <= y of its primes with r multiplicative, r(p) = lam/(sqrt(p) log p).
+    The lower endpoint is lo = lower(lam), and the two callers differ there:
+    build_resonator uses lam^2, the window of the medium construction, and
+    lemma_dd_ratio uses lam, or its window_floor override.
+    """
+    lam = math.sqrt(math.log(y) * math.log(math.log(y)))
+    lo = lower(lam)
+    hi = math.exp(math.log(lam) ** 2) if lam > 0 else -math.inf
+    primes = tuple(_window_primes(lo, hi, y))
+    support = squarefree_support(primes, [_medium_rate(lam, p) for p in primes], y)
+    return lam, lo, hi, primes, support
+
+
 def build_resonator(
     variant: str,
     X: float,
@@ -191,11 +209,7 @@ def build_resonator(
                 X=X, x=x, delta=delta, y=y, lam=None, prime_lo=math.inf,
                 prime_hi=-math.inf, primes=(), support=((1, 1.0),),
             )
-        lam = math.sqrt(math.log(y) * math.log(math.log(y)))
-        lo = lam * lam
-        hi = math.exp(math.log(lam) ** 2) if lam > 0 else -math.inf
-        primes = tuple(_window_primes(lo, hi, y))
-        support = squarefree_support(primes, [_medium_rate(lam, p) for p in primes], y)
+        lam, lo, hi, primes, support = _medium_window(y, lambda lam: lam * lam)
         return MediumResonator(
             X=X, x=x, delta=delta, y=y, lam=lam, prime_lo=lo, prime_hi=hi,
             primes=primes, support=support,
@@ -302,10 +316,9 @@ def _spec_params(spec: ResonatorSpec) -> dict:
     return {"delta": spec.delta, "N": spec.N, "y_M": spec.M.y_M}
 
 
-def moment_ratio(spec: ResonatorSpec, squared: bool = False, threads: int = 1) -> RatioReport:
+def moment_ratio(spec: ResonatorSpec, squared: bool = False) -> RatioReport:
     """Scan fundamental d in (X, 2X] once, accumulating M1, M2, and the
-    observed maximum; deterministic.  threads is accepted for compatibility;
-    the scan runs in one thread."""
+    observed maximum; deterministic."""
     X, x = spec.X, spec.x
     ds = arith.enumerate_fundamental(math.floor(X), math.floor(2 * X), include_unit=False)
     if not ds:
@@ -418,11 +431,7 @@ def lemma_dd_ratio(Y: float, N: float, window_floor: Optional[float] = None) -> 
     n_int = math.floor(N)
     support: tuple[tuple[int, float], ...] = ((1, 1.0),)
     if Y > math.e:
-        lam = math.sqrt(math.log(Y) * math.log(math.log(Y)))
-        lo = window_floor if window_floor is not None else lam
-        hi = math.exp(math.log(lam) ** 2) if lam > 0 else -math.inf
-        primes = _window_primes(lo, hi, Y)
-        support = squarefree_support(primes, [_medium_rate(lam, p) for p in primes], Y)
+        *_, support = _medium_window(Y, lambda lam: lam if window_floor is None else window_floor)
     num = _Neumaier()
     den = _Neumaier()
     for a, ra in support:

@@ -1,18 +1,22 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line
 and enforcing its stated tolerance and time budget.
 
+Criteria 1, 2, 5, 6, 7 and 8 run the shared checks of the `verify` suites
+(the same checks `quadchar verify` runs); the others are stated here.
+
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.
 """
 
+import contextlib
+import io
+import json
 import math
-import random
 import time
+from itertools import accumulate
 
-import numpy as np
-
-from quadchar import arith, charsums, gcdsum, meanvalues, resonance
-from quadchar.verify import _PINNED_TRIPLES, pinned_ratio_reports
+from quadchar import arith, cli, meanvalues, resonance, verify
+from quadchar.verify import _PINNED_TRIPLES
 
 
 def _report(num: int, name: str, ok: bool, detail: str, elapsed: float, budget: float | None):
@@ -24,36 +28,19 @@ def _report(num: int, name: str, ok: bool, detail: str, elapsed: float, budget: 
     assert within, f"criterion {num}: exceeded budget ({elapsed:.2f}s >= {budget}s)"
 
 
-def test_criterion_01_kronecker_euler_oracle():
+def _run_checks(num: int, checks, budget: float):
     t0 = time.perf_counter()
-    primes = [p for p in arith.primes_up_to(499) if p % 2 == 1]
-    mismatches = 0
-    checked = 0
-    for d in arith.enumerate_fundamental(-501, 500):
-        for p in primes:
-            if d % p == 0:
-                continue
-            want = pow(d, (p - 1) // 2, p)
-            want = -1 if want == p - 1 else want
-            mismatches += arith.kronecker(d, p) != want
-            checked += 1
-    _report(1, "kronecker matches Euler's criterion (|d|<=500, p<500)",
-            mismatches == 0, f"{checked} pairs, {mismatches} mismatches",
-            time.perf_counter() - t0, 5.0)
+    results = [check() for check in checks]
+    _report(num, "; ".join(r.name for r in results), all(r.passed for r in results),
+            "; ".join(r.detail for r in results), time.perf_counter() - t0, budget)
+
+
+def test_criterion_01_kronecker_euler_oracle():
+    _run_checks(1, [verify._arith_euler_criterion], 5.0)
 
 
 def test_criterion_02_full_period_cancellation():
-    t0 = time.perf_counter()
-    violations = 0
-    count = 0
-    for d in arith.enumerate_fundamental(-2001, 2000):
-        if d == 1:
-            continue
-        violations += charsums.char_sum(d, abs(d)) != 0
-        count += 1
-    _report(2, "full-period cancellation for 1 < |d| <= 2000",
-            violations == 0, f"{count} discriminants, {violations} violations",
-            time.perf_counter() - t0, 10.0)
+    _run_checks(2, [verify._charsum_full_period], 10.0)
 
 
 def test_criterion_03_mean_value_unit():
@@ -77,89 +64,19 @@ def test_criterion_04_mean_value_square():
 
 
 def test_criterion_05_nonsquare_cancellation():
-    t0 = time.perf_counter()
-    cap = 10**3.6
-    worst = max(abs(meanvalues.mean_value_sum(n, 10**6)) for n in (2, 3, 5, 6))
-    _report(5, "nonsquare cancellation |sum| <= 10^3.6 at X=1e6",
-            worst <= cap, f"worst |sum|={worst}, cap={cap:.1f}",
-            time.perf_counter() - t0, 120.0)
+    _run_checks(5, [verify._meanvalue_nonsquare_cancellation], 120.0)
 
 
 def test_criterion_06_fundamental_inequality_20_configs():
-    t0 = time.perf_counter()
-    reports = pinned_ratio_reports()
-    variants = {r.spec.variant for r in reports}
-    modes = {r.squared for r in reports}
-    bad = [
-        (r.spec.variant, r.X, r.x, r.squared)
-        for r in reports
-        if not (r.observed_max >= r.ratio - resonance.TOL_REL * abs(r.ratio))
-    ]
-    ok = not bad and len(reports) == 20 and variants == {"short", "medium", "long"} and modes == {True, False}
-    _report(6, "observed max >= M2/M1 on 20 pinned configurations",
-            ok, f"20 configs, violations: {bad}",
-            time.perf_counter() - t0, 120.0)
+    _run_checks(6, [verify._resonance_fundamental_inequality], 120.0)
 
 
 def test_criterion_07_dd_ratio_diagonal_and_oracle():
-    t0 = time.perf_counter()
-    diag_ok = all(
-        resonance.lemma_dd_ratio(Y, N) >= math.floor(N)
-        for Y, N in [(100.0, 100.0), (1000.0, 100.0), (10000.0, 1000.0)]
-    )
-    Y, N = 100.0, 50
-    got = resonance.lemma_dd_ratio(Y, N)
-    # Re-derive the supported a, b independently, then count pairs literally.
-    lam = math.sqrt(math.log(Y) * math.log(math.log(Y)))
-    hi = math.exp(math.log(lam) ** 2)
-    primes = [p for p in arith.primes_up_to(max(math.floor(min(hi, Y)), 2)) if p >= lam]
-    support = resonance.squarefree_support(
-        primes, [lam / (math.sqrt(p) * math.log(p)) for p in primes], Y
-    )
-    num = den = 0.0
-    for a, ra in support:
-        den += ra * ra
-        for b, rb in support:
-            hits = sum(
-                1 for m in range(1, N + 1) for n in range(1, N + 1) if a * n == b * m
-            )
-            num += ra * rb * hits
-    brute = num / den
-    oracle_ok = abs(got - brute) <= 1e-8 * max(1.0, abs(brute))
-    _report(7, "dd-ratio diagonal bound and brute-force agreement",
-            diag_ok and oracle_ok, f"ratio(100,50)={got}, brute={brute}",
-            time.perf_counter() - t0, 60.0)
+    _run_checks(7, [verify._resonance_dd_diagonal, verify._resonance_dd_bruteforce], 60.0)
 
 
 def test_criterion_08_gcd_sum_oracle_and_extremal():
-    t0 = time.perf_counter()
-    rng = random.Random(20260810)
-
-    def random_squarefree(size):
-        picked = set()
-        while len(picked) < size:
-            c = rng.randrange(1, 10**6)
-            if arith.is_squarefree(c):
-                picked.add(c)
-        return gcdsum.GcdSet(tuple(sorted(picked)))
-
-    worst_rel = 0.0
-    for _ in range(100):
-        ms = random_squarefree(20)
-        slow = 0.0
-        for m in ms.members:
-            for n in ms.members:
-                slow += math.gcd(m, n) / math.sqrt(m * n)
-        worst_rel = max(worst_rel, abs(gcdsum.gcd_sum(ms) - slow) / abs(slow))
-    oracle_ok = worst_rel <= 1e-10
-
-    extremal = gcdsum.construct_extremal_set(1000)
-    base = gcdsum.gcd_sum(extremal)
-    wins = sum(base > gcdsum.gcd_sum(random_squarefree(1000)) for _ in range(20))
-    _report(8, "gcd_sum brute-force oracle and extremal dominance",
-            oracle_ok and wins == 20,
-            f"worst rel={worst_rel:.2e}, extremal={base:.1f}, wins={wins}/20",
-            time.perf_counter() - t0, 60.0)
+    _run_checks(8, [verify._gcd_oracle_and_extremal], 60.0)
 
 
 def test_criterion_09_psi_oracle():
@@ -172,12 +89,11 @@ def test_criterion_09_psi_oracle():
         p = spf[n]
         q = n // p
         lpf[n] = p if q == 1 else max(p, lpf[q])
-    lpf_arr = np.array(lpf[1:], dtype=np.int64)
     bad = 0
     for y in (2, 3, 5, 10, 100):
-        cum = np.cumsum(lpf_arr <= y)
+        cum = list(accumulate(int(p <= y) for p in lpf[1:]))
         for x in range(1, limit + 1):
-            bad += arith.psi_count(x, y) != int(cum[x - 1])
+            bad += arith.psi_count(x, y) != cum[x - 1]
     pinned_ok = arith.psi_count(100, 5) == 34
     _report(9, "psi_count equals direct enumeration (x<=1e4, 5 smoothness bounds)",
             bad == 0 and pinned_ok, f"{5 * limit} values, {bad} mismatches, psi(100,5)={arith.psi_count(100, 5)}",
@@ -204,19 +120,24 @@ def test_criterion_10_smooth_chain_consistency():
             time.perf_counter() - t0, None)
 
 
-def test_criterion_11_worker_determinism():
+def test_criterion_11_worker_determinism(tmp_path):
     t0 = time.perf_counter()
-    base_scan = charsums.delta_max(3000, 40, threads=1)
-    ints_ok = all(charsums.delta_max(3000, 40, threads=t) == base_scan for t in (4, 8))
-
-    spec = resonance.build_resonator("short", 5000.0, 40.0, alpha=0.01, delta=0.005)
-    base = resonance.moment_ratio(spec, squared=False, threads=1)
-    reals_ok = True
-    for t in (4, 8):
-        rep = resonance.moment_ratio(spec, squared=False, threads=t)
-        reals_ok = reals_ok and rep.observed_max == base.observed_max
-        for a, b in ((rep.M1, base.M1), (rep.M2, base.M2), (rep.ratio, base.ratio)):
-            reals_ok = reals_ok and abs(a - b) <= 1e-9 * max(1.0, abs(b))
-    _report(11, "delta_max and moment_ratio identical across 1/4/8 workers",
-            ints_ok and reals_ok, f"d_star={base_scan.d_star}, ratio={base.ratio:.6g}",
+    commands = {
+        "delta-max": ["delta-max", "--X", "3000", "--x", "40"],
+        "resonate": ["resonate", "--variant", "short", "--X", "5000", "--x", "40",
+                     "--alpha", "0.01", "--delta", "0.005"],
+    }
+    runs = {}
+    for name, argv in commands.items():
+        runs[name] = set()
+        for t in ("1", "4", "8"):
+            path = tmp_path / f"{name}-{t}.json"
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main([*argv, "--threads", t, "--json", str(path)]) == 0
+            runs[name].add(path.read_bytes())
+    scan = json.loads(min(runs["delta-max"]))
+    moments = json.loads(min(runs["resonate"]))
+    _report(11, "delta-max and resonate --json byte-identical across --threads 1/4/8",
+            all(len(r) == 1 for r in runs.values()),
+            f"d_star={scan['d_star']}, ratio={moments['ratio']:.6g}",
             time.perf_counter() - t0, None)

@@ -115,12 +115,6 @@ def test_delta_max_empty_window():
         delta_max(10, 0.5)
 
 
-def test_delta_max_thread_determinism():
-    base = delta_max(1500, 25, threads=1)
-    for t in (2, 4, 8):
-        assert delta_max(1500, 25, threads=t) == base
-
-
 def test_pv_baseline():
     assert pv_baseline(-3) == pytest.approx(math.sqrt(3) * math.log(3), rel=1e-14)
     assert pv_baseline(8) == pytest.approx(math.sqrt(8) * math.log(8), rel=1e-14)

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import quadchar
-from quadchar import cli
+from quadchar import arith, cli, meanvalues
 
 
 def run_cli(*argv) -> int:
@@ -149,6 +149,48 @@ def test_sieve_past_budget_exits_2(argv, capsys):
     assert err.startswith("error:") and "exceeds its budget" in err and err.count("\n") == 1
 
 
+def test_char_table_past_budget_exits_2(capsys):
+    # n = 1000000007 is prime, so its table would have 1e9 entries.
+    assert run_cli("mean-value", "--n", "1000000007", "--X", "10") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "exceeds its budget" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n, rc", [(101, 0), (202, 2), (103, 2), (200, 0)])
+def test_char_table_budget_boundary(n, rc, monkeypatch, capsys):
+    # P is 101 for n = 101, 808 for n = 202, 103 for n = 103 and 40 for n = 200.
+    monkeypatch.setattr(meanvalues, "CHAR_TABLE_BUDGET", 101)
+    assert run_cli("mean-value", "--n", str(n), "--X", "1e3") == rc
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("budget, rc", [(137, 0), (136, 2)])
+def test_smooth_table_budget_boundary(budget, rc, monkeypatch, capsys):
+    # psi --x 20 --y 5 builds the table of the 137 5-smooth numbers up to
+    # 4096, the smallest table size.
+    monkeypatch.setattr(arith, "SMOOTH_TABLE_BUDGET", budget)
+    arith._smooth_table.cache_clear()
+    try:
+        assert run_cli("psi", "--x", "20", "--y", "5") == rc
+    finally:
+        arith._smooth_table.cache_clear()
+    capsys.readouterr()
+
+
+def test_smooth_table_past_budget_exits_2(monkeypatch, capsys):
+    # The real budget is reached only after about 500 MiB; a low one shows the exit.
+    monkeypatch.setattr(arith, "SMOOTH_TABLE_BUDGET", 10**5)
+    arith._smooth_table.cache_clear()
+    try:
+        assert run_cli("psi", "--x", "1e12", "--y", "1e5") == 2
+    finally:
+        arith._smooth_table.cache_clear()
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "exceeds its budget" in err and err.count("\n") == 1
+
+
 def test_cli_never_imports_numpy():
     code = (
         "import sys\n"
@@ -214,6 +256,7 @@ def test_identical_runs_byte_identical(tmp_path, capsys):
 
 def test_thread_counts_agree_numerically(tmp_path, capsys):
     payloads = []
+    raw = set()
     for t in ("1", "4", "8"):
         path = tmp_path / f"t{t}.json"
         assert run_cli(
@@ -221,12 +264,35 @@ def test_thread_counts_agree_numerically(tmp_path, capsys):
             "--alpha", "0.02", "--delta", "0.01", "--threads", t,
             "--json", str(path),
         ) == 0
+        raw.add(path.read_bytes())
         payloads.append(json.loads(path.read_text()))
+    assert len(raw) == 1
     base = payloads[0]
     for other in payloads[1:]:
         assert other["observed_max"] == base["observed_max"]
         for key in ("M1", "M2", "ratio"):
             assert abs(other[key] - base[key]) <= 1e-9 * abs(base[key])
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("delta-max", "--X", "1500", "--x", "25"),
+        ("resonate", "--variant", "short", "--X", "4000", "--x", "30",
+         "--alpha", "0.02", "--delta", "0.01", "--squared"),
+        ("gcd-sum", "--N", "150"),
+    ],
+    ids=["delta-max", "resonate", "gcd-sum"],
+)
+def test_thread_counts_byte_identical(argv, tmp_path, capsys):
+    # --threads is validated and ignored, so the files are byte-identical.
+    outputs = set()
+    for t in ("1", "4", "8"):
+        path = tmp_path / f"t{t}.json"
+        assert run_cli(*argv, "--threads", t, "--json", str(path)) == 0
+        outputs.add(path.read_bytes())
+    assert len(outputs) == 1
     capsys.readouterr()
 
 

@@ -94,14 +94,6 @@ def test_gcd_sum_at_least_diagonal():
         assert gcd_sum(ms) >= size
 
 
-def test_gcd_sum_thread_agreement():
-    rng = random.Random(3)
-    ms = random_squarefree_set(rng, 150)
-    base = gcd_sum(ms, threads=1)
-    for t in (2, 4, 8):
-        assert gcd_sum(ms, threads=t) == pytest.approx(base, rel=1e-12)
-
-
 def test_gcdset_validation():
     with pytest.raises(ValueError):
         GcdSet(())

@@ -1,3 +1,4 @@
+import json
 import math
 from itertools import combinations
 
@@ -184,15 +185,28 @@ def test_squared_mode_uses_squares():
     assert squared.inequality_holds
 
 
-def test_moment_ratio_thread_agreement():
+def test_moment_ratio_thread_agreement(tmp_path, capsys):
+    # moment_ratio has no thread parameter; --threads is checked through the CLI.
+    from quadchar import cli
+
+    payloads = []
+    for t in ("1", "3", "8"):
+        path = tmp_path / f"t{t}.json"
+        assert cli.main([
+            "resonate", "--variant", "short", "--X", "4000", "--x", "30",
+            "--alpha", "0.02", "--delta", "0.01", "--squared",
+            "--threads", t, "--json", str(path),
+        ]) == 0
+        payloads.append(path.read_bytes())
+    capsys.readouterr()
+    assert payloads[1] == payloads[0] and payloads[2] == payloads[0]
     spec = build_resonator("short", 4000.0, 30.0, alpha=0.02, delta=0.01)
-    base = moment_ratio(spec, squared=True, threads=1)
-    for t in (3, 8):
-        rep = moment_ratio(spec, squared=True, threads=t)
-        assert rep.observed_max == base.observed_max
-        assert rep.M1 == pytest.approx(base.M1, rel=1e-9)
-        assert rep.M2 == pytest.approx(base.M2, rel=1e-9)
-        assert rep.ratio == pytest.approx(base.ratio, rel=1e-9)
+    rep = moment_ratio(spec, squared=True)
+    base = json.loads(payloads[0])
+    assert base["observed_max"] == rep.observed_max
+    assert base["M1"] == pytest.approx(rep.M1, rel=1e-9)
+    assert base["M2"] == pytest.approx(rep.M2, rel=1e-9)
+    assert base["ratio"] == pytest.approx(rep.ratio, rel=1e-9)
 
 
 def test_moment_ratio_empty_window():
