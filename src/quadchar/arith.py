@@ -7,7 +7,9 @@ functions here can be called concurrently.
 """
 
 import math
+import sys
 import threading
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -21,6 +23,8 @@ __all__ = [
     "is_fundamental",
     "enumerate_fundamental",
     "fundamental_flags",
+    "char_table",
+    "lane_sums",
     "is_squarefree",
     "squarefree_decompose",
     "largest_prime_factor",
@@ -48,6 +52,18 @@ FUNDAMENTAL_SIEVE_BUDGET = 10**8
 # block of new entries is allocated.  Peak memory at the budget: about 50
 # bytes per entry (int objects, the list and the returned tuple).
 SMOOTH_TABLE_BUDGET = 10**7
+# The largest period P a character table may have.  A larger one raises
+# ValueError before the table is allocated.  Peak memory at the budget:
+# about 24 bytes per entry (three lists of P references alive at once).
+CHAR_TABLE_BUDGET = 10**7
+# The most lanes lane_sums turns into one big int; a longer window is cut into
+# chunks of this many lanes.  Peak memory: about 8 bytes per lane of a chunk
+# (the repeated row, its int, the running total and the new total), on top
+# of the 2 bytes per lane of the result.
+LANE_CHUNK_BUDGET = 1 << 20
+# lane_sums adds fewer than this many terms chi + 1 <= 2 per lane, so a
+# 16-bit lane never overflows.
+LANE_TERMS = 1 << 15
 
 _primes: list[int] = []
 _prime_bound = -1
@@ -57,6 +73,7 @@ _sqfree = bytearray()
 _sqfree_bound = -1
 _fund: tuple[bytearray, bytearray] = (bytearray(), bytearray())
 _fund_bound = -1
+_CHI_MOD_8 = (0, 1, 0, -1, 0, -1, 0, 1)  # chi_d(2) by d mod 8
 
 
 def _grown_bound(n: int, bound: int, budget: int, kind: str) -> int:
@@ -275,6 +292,68 @@ def enumerate_fundamental(lo: int, hi: int, include_unit: bool = True) -> list[i
     if not include_unit and lo_i < 1 <= hi_i:
         out.remove(1)
     return out
+
+
+def char_table(n: int) -> list[int]:
+    """t with t[r] = chi_d(n) = (d/n) for every integer d = r mod P, where P = len(t).
+
+    chi_d(n) = prod chi_d(p)^e over p^e || n.  For odd p, chi_d(p) is the
+    Legendre symbol of d mod p, read from the squares mod p; chi_d(2) is read
+    from d mod 8.  By CRT the product depends only on d mod P, with P the
+    product of the odd primes dividing n, times 8 when n is even.  A period
+    past CHAR_TABLE_BUDGET raises ValueError.
+    """
+    factors = factorize(n)
+    period = math.prod(8 if p == 2 else p for p, _ in factors)
+    if period > CHAR_TABLE_BUDGET:
+        raise ValueError(
+            f"character table mod {period} for n={n} exceeds its budget of {CHAR_TABLE_BUDGET}"
+        )
+    table = [1] * period
+    for p, e in factors:
+        if p == 2:
+            chi = _CHI_MOD_8
+        else:
+            chi = [-1] * p
+            chi[0] = 0
+            for k in range(1, (p + 1) // 2):
+                chi[k * k % p] = 1
+        if e % 2 == 0:
+            chi = [c * c for c in chi]
+        table = [t * c for t, c in zip(table, chi * (period // len(chi)))]
+    return table
+
+
+def lane_sums(lo: int, hi: int, ns) -> memoryview:
+    """Lanes v with v[d - lo - 1] = sum_{n in ns} (chi_d(n) + 1) for every
+    integer d in (lo, hi], as a memoryview of 16-bit unsigned ints.
+
+    chi_d(n) depends only on d mod P_n (char_table), so one row of chi + 1 in
+    16-bit lanes, rotated to start at d = lo + 1 and repeated across the
+    window, turns into one big int with int.from_bytes, and adding these ints
+    adds every lane at once.  A lane sum stays below 2 * LANE_TERMS, so no
+    carry crosses a lane; more terms raise ValueError.  The window is cut into
+    chunks of LANE_CHUNK_BUDGET lanes, and each chunk streams over ns with one
+    table alive at a time.
+    """
+    ns = tuple(ns)
+    if len(ns) >= LANE_TERMS:
+        raise ValueError(f"{len(ns)} lane terms exceed the 16-bit lane limit of {LANE_TERMS - 1}")
+    order = sys.byteorder  # array("H") and memoryview.cast("H") are native-endian
+    out = bytearray(2 * max(hi - lo, 0))
+    for start in range(lo, hi, LANE_CHUNK_BUDGET):
+        size = min(LANE_CHUNK_BUDGET, hi - start)
+        total = 0
+        for n in ns:
+            table = char_table(n)
+            period = len(table)
+            shift = (start + 1) % period
+            row = array("H", [c + 1 for c in table]).tobytes()
+            rows = memoryview(row * ((shift + size) // period + 1))
+            total += int.from_bytes(rows[2 * shift : 2 * (shift + size)], order)
+        at = 2 * (start - lo)
+        out[at : at + 2 * size] = total.to_bytes(2 * size, order)
+    return memoryview(out).cast("H")
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,14 @@
 brute-force maxima of S_d(x) over fundamental discriminants in a window.
 
 chi_d is realized as the Kronecker symbol (d/.), so every sum here is an
-exact integer.
+exact integer.  A window scan with floor(x) <= lo reads every S_d(x) of the
+window (lo, hi] at once from arith.lane_sums; the other sums go one d at a
+time through _char_values.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
 
 from . import arith
 
@@ -63,6 +65,13 @@ def _char_sum_trusted(d: int, x: float) -> int:
     period = _char_values(d, ad)
     q, r = divmod(m, ad)
     return q * sum(period[1:]) + sum(period[1 : r + 1])
+
+
+def _on_lanes(lo: int, m: int) -> bool:
+    """Whether a scan of the window (lo, hi] at cutoff m = floor(x) reads its
+    S_d(x) + m from arith.lane_sums(lo, hi, range(1, m + 1)): m <= lo, and the
+    m terms chi_d(n) + 1 fit a 16-bit lane."""
+    return m <= lo and m < arith.LANE_TERMS
 
 
 def char_sum(d, x: float) -> int:
@@ -152,24 +161,37 @@ def delta_max(
         raise ValueError(f"X_lo must be positive, got {X_lo}")
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    ds = arith.enumerate_fundamental(math.floor(X_lo), math.floor(hi), include_unit)
-    if not ds:
+    lo, top = math.floor(X_lo), math.floor(hi)
+    m = math.floor(x)
+    if _on_lanes(lo, m) and lo < top:
+        # lo >= m >= 1, so the window holds only d >= 2, and no list of them
+        # is built.  max keeps the first maximum, the smallest d.
+        pos, _ = arith.fundamental_flags(top)
+        flags = pos[lo + 1 : top + 1]
+        scanned = flags.count(1)
+        if scanned:
+            lanes = arith.lane_sums(lo, top, range(1, m + 1))
+            key = (lambda i: abs(lanes[i] - m)) if absolute else lanes.__getitem__
+            i = max(compress(range(top - lo), flags), key=key)
+            best_d, best_s = lo + 1 + i, lanes[i] - m
+    else:
+        ds = arith.enumerate_fundamental(lo, top, include_unit)
+        scanned = len(ds)
+        best_key = -math.inf
+        for d in ds:  # ascending, so a strict > leaves ties with the smallest d
+            s = _char_sum_trusted(d, x)
+            key = abs(s) if absolute else s
+            if key > best_key:
+                best_key, best_d, best_s = key, d, s
+    if not scanned:
         raise EmptyWindowError(f"no fundamental discriminants in ({X_lo}, {hi}]")
-
-    best_key = -math.inf
-    best_d = best_s = None
-    for d in ds:  # ascending, so a strict > leaves ties with the smallest d
-        s = _char_sum_trusted(d, x)
-        key = abs(s) if absolute else s
-        if key > best_key:
-            best_key, best_d, best_s = key, d, s
     return MaxSearchResult(
         window_lo=float(X_lo),
         window_hi=float(hi),
         x=float(x),
         d_star=best_d,
         s_star=best_s,
-        scanned=len(ds),
+        scanned=scanned,
         absolute=absolute,
     )
 

@@ -196,6 +196,9 @@ def run(args: argparse.Namespace) -> int:
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except MemoryError:
+        print("error: out of memory; the request is too large for this machine", file=sys.stderr)
+        return EXIT_PRECONDITION
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED_CHECK

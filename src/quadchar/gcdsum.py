@@ -87,6 +87,11 @@ def _first_primes(count: int) -> list[int]:
 
 _TIE_REL = 1e-12
 
+# The largest set construct_extremal_set builds.  A larger N raises ValueError
+# before any member is made.  Peak memory is about 0.5 KiB per member (146 MiB
+# for N = 3e5, with its GCD sum), so about 0.5 GiB at the budget.
+GCD_SET_BUDGET = 10**6
+
 
 def construct_extremal_set(N: int) -> GcdSet:
     """Deterministic set of N squarefree k-prime products with a large GCD sum.
@@ -96,11 +101,14 @@ def construct_extremal_set(N: int) -> GcdSet:
     combination order; k is picked by the largest pilot GCD sum.  A larger k
     wins only when its pilot sum beats the best by more than a relative
     _TIE_REL, so rounding in the sum never decides a tie (at N = 1 every k
-    scores exactly 1) and ties go to the smaller k.
+    scores exactly 1) and ties go to the smaller k.  N past GCD_SET_BUDGET
+    raises ValueError.
     """
     N = int(N)
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
+    if N > GCD_SET_BUDGET:
+        raise ValueError(f"set of {N} members exceeds its budget of {GCD_SET_BUDGET}")
     best = None
     best_score = 0.0
     for k in range(1, 7):

@@ -17,42 +17,6 @@ __all__ = [
 ]
 
 _INV_ZETA2 = 6.0 / math.pi**2
-_CHI_MOD_8 = (0, 1, 0, -1, 0, -1, 0, 1)  # chi_d(2) by d mod 8
-
-# The largest period P a character table may have.  A larger one raises
-# ValueError before the table is allocated.  Peak memory at the budget:
-# about 24 bytes per entry (three lists of P references alive at once).
-CHAR_TABLE_BUDGET = 10**7
-
-
-def _char_table(n: int) -> list[int]:
-    """t with t[r] = chi_d(n) for every d = r mod P, where P = len(t).
-
-    chi_d(n) = prod chi_d(p)^e over p^e || n.  For odd p, chi_d(p) is the
-    Legendre symbol of d mod p, read from the squares mod p; chi_d(2) is read
-    from d mod 8.  By CRT the product depends only on d mod P, with P the
-    product of the odd primes dividing n, times 8 when n is even.  A period
-    past CHAR_TABLE_BUDGET raises ValueError.
-    """
-    factors = arith.factorize(n)
-    period = math.prod(8 if p == 2 else p for p, _ in factors)
-    if period > CHAR_TABLE_BUDGET:
-        raise ValueError(
-            f"character table mod {period} for n={n} exceeds its budget of {CHAR_TABLE_BUDGET}"
-        )
-    table = [1] * period
-    for p, e in factors:
-        if p == 2:
-            chi = _CHI_MOD_8
-        else:
-            chi = [-1] * p
-            chi[0] = 0
-            for k in range(1, (p + 1) // 2):
-                chi[k * k % p] = 1
-        if e % 2 == 0:
-            chi = [c * c for c in chi]
-        table = [t * c for t, c in zip(table, chi * (period // len(chi)))]
-    return table
 
 
 def mean_value_sum(n: int, X: float) -> int:
@@ -68,7 +32,7 @@ def mean_value_sum(n: int, X: float) -> int:
     limit = math.floor(X)
     pos, neg = arith.fundamental_flags(limit)
     pos, neg = pos[: limit + 1], neg[: limit + 1]
-    table = _char_table(n)
+    table = arith.char_table(n)
     period = len(table)
     # Sum table[r] times the number of fundamental d = r mod P; the negative
     # d = -w with w = r mod P take table[-r mod P].
@@ -89,7 +53,7 @@ def mean_value_window_sum(n: int, lo: float, hi: float, include_unit: bool = Tru
     ds = arith.enumerate_fundamental(math.floor(lo), math.floor(hi), include_unit)
     if not ds:
         return 0
-    table = _char_table(n)
+    table = arith.char_table(n)
     period = len(table)
     return sum(table[d % period] for d in ds)
 

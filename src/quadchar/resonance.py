@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from . import arith, gcdsum
-from .charsums import EmptyWindowError, _char_sum_trusted
+from .charsums import EmptyWindowError, _char_sum_trusted, _on_lanes
 
 __all__ = [
     "TOL_REL",
@@ -41,6 +41,10 @@ __all__ = [
 ]
 
 TOL_REL = 1e-9
+# The most (a, b) pairs lemma_dd_ratio walks, len(support)**2, checked before
+# the pair loop; a larger support raises ValueError.  About 6 s at the budget
+# on a 2-core Intel Xeon (Y = 1e8, 1,078 terms, takes 0.7 s).
+DD_PAIR_BUDGET = 10**7
 
 
 class _Neumaier:
@@ -318,19 +322,39 @@ def _spec_params(spec: ResonatorSpec) -> dict:
 
 def moment_ratio(spec: ResonatorSpec, squared: bool = False) -> RatioReport:
     """Scan fundamental d in (X, 2X] once, accumulating M1, M2, and the
-    observed maximum; deterministic."""
+    observed maximum; deterministic.
+
+    S_d(x) is read from arith.lane_sums when floor(x) <= floor(X) and
+    floor(x) < arith.LANE_TERMS, and so is R(d) of a long spec with
+    N < arith.LANE_TERMS, as the lane sum of chi_d(m) + 1 over the members
+    minus N.  The accumulation order is the same on every route, so the
+    results are bit-identical.
+    """
     X, x = spec.X, spec.x
-    ds = arith.enumerate_fundamental(math.floor(X), math.floor(2 * X), include_unit=False)
+    lo, hi = math.floor(X), math.floor(2 * X)
+    ds = arith.enumerate_fundamental(lo, hi, include_unit=False)
     if not ds:
         raise EmptyWindowError(f"no fundamental discriminants in ({X}, {2 * X}]")
+
+    base, m = lo + 1, math.floor(x)
+    if _on_lanes(lo, m):
+        s_lanes = arith.lane_sums(lo, hi, range(1, m + 1))
+        s_of = lambda d: s_lanes[d - base] - m
+    else:
+        s_of = lambda d: _char_sum_trusted(d, x)
+    if isinstance(spec, LongResonator) and spec.N < arith.LANE_TERMS:
+        r_lanes = arith.lane_sums(lo, hi, spec.members)
+        r_of = lambda d: float(r_lanes[d - base] - spec.N)
+    else:
+        r_of = lambda d: resonator_value(spec, d)
 
     m1 = _Neumaier()
     m2 = _Neumaier()
     observed = -math.inf
     for d in ds:
-        r = resonator_value(spec, d)
+        r = r_of(d)
         w = r * r
-        s = _char_sum_trusted(d, x)
+        s = s_of(d)
         v = float(s * s) if squared else float(s)
         m1.add(w)
         m2.add(v * w)
@@ -424,7 +448,8 @@ def lemma_dd_ratio(Y: float, N: float, window_floor: Optional[float] = None) -> 
     the lower endpoint).  The pair count for fixed (a, b) is exactly
     floor(N * gcd(a,b) / max(a,b)), by the coprime parametrization of the
     solutions.  A degenerate window leaves only a = b = 1 and the diagonal
-    count floor(N).
+    count floor(N).  A support with more than DD_PAIR_BUDGET pairs raises
+    ValueError: Y = 1e8 has 1,078 terms, Y = 1e9 has 9,890.
     """
     if Y < 1 or N < 1:
         raise ValueError(f"need Y >= 1 and N >= 1, got ({Y}, {N})")
@@ -432,6 +457,10 @@ def lemma_dd_ratio(Y: float, N: float, window_floor: Optional[float] = None) -> 
     support: tuple[tuple[int, float], ...] = ((1, 1.0),)
     if Y > math.e:
         *_, support = _medium_window(Y, lambda lam: lam if window_floor is None else window_floor)
+    if len(support) ** 2 > DD_PAIR_BUDGET:
+        raise ValueError(
+            f"{len(support)}**2 support pairs exceed the pair budget of {DD_PAIR_BUDGET}"
+        )
     num = _Neumaier()
     den = _Neumaier()
     for a, ra in support:

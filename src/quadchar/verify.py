@@ -265,7 +265,7 @@ def _meanvalue_additivity() -> CheckResult:
 def _meanvalue_table_periodicity() -> CheckResult:
     bad = 0
     for n in range(1, 21):
-        table = meanvalues._char_table(n)
+        table = arith.char_table(n)
         for d in _fundamental_range(500):
             chi = arith.kronecker(d, n)
             if arith.kronecker(d % (8 * n), n) != chi or table[d % len(table)] != chi:

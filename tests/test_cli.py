@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import quadchar
-from quadchar import arith, cli, meanvalues
+from quadchar import arith, cli, gcdsum
 
 
 def run_cli(*argv) -> int:
@@ -160,7 +160,7 @@ def test_char_table_past_budget_exits_2(capsys):
 @pytest.mark.parametrize("n, rc", [(101, 0), (202, 2), (103, 2), (200, 0)])
 def test_char_table_budget_boundary(n, rc, monkeypatch, capsys):
     # P is 101 for n = 101, 808 for n = 202, 103 for n = 103 and 40 for n = 200.
-    monkeypatch.setattr(meanvalues, "CHAR_TABLE_BUDGET", 101)
+    monkeypatch.setattr(arith, "CHAR_TABLE_BUDGET", 101)
     assert run_cli("mean-value", "--n", str(n), "--X", "1e3") == rc
     capsys.readouterr()
 
@@ -189,6 +189,35 @@ def test_smooth_table_past_budget_exits_2(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error:") and "exceeds its budget" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("N, rc", [(50, 0), (51, 2)])
+def test_gcd_set_budget_boundary(N, rc, monkeypatch, capsys):
+    monkeypatch.setattr(gcdsum, "GCD_SET_BUDGET", 50)
+    assert run_cli("gcd-sum", "--N", str(N)) == rc
+    out, err = capsys.readouterr()
+    if rc:
+        assert out == ""
+        assert err.startswith("error:") and "exceeds its budget" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("budget, rc", [(18, 0), (17, 2)])
+def test_long_resonator_set_budget_boundary(budget, rc, monkeypatch, capsys):
+    # The long resonator at X = 1e4, x = 5 asks for a set of N = 18 members.
+    monkeypatch.setattr(gcdsum, "GCD_SET_BUDGET", budget)
+    assert run_cli("resonate", "--variant", "long", "--X", "1e4", "--x", "5") == rc
+    capsys.readouterr()
+
+
+def test_memory_error_exits_2(monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._DISPATCH, "psi", exhausted)
+    assert run_cli("psi", "--x", "100", "--y", "5") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "out of memory" in err and err.count("\n") == 1
 
 
 def test_cli_never_imports_numpy():

@@ -1,0 +1,154 @@
+"""Differential tests of the big-int lane kernel (arith.lane_sums) and of the
+window scans that read from it, against a brute-force kronecker loop."""
+
+import math
+from unittest import mock
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from quadchar import arith, resonance
+from quadchar.charsums import EmptyWindowError, char_sum, delta_max
+from quadchar.resonance import build_resonator, moment_ratio, resonator_value
+
+# Chunk sizes for arith.LANE_CHUNK_BUDGET: the default, and small ones that
+# put chunk seams inside every window.
+_chunks = st.sampled_from((arith.LANE_CHUNK_BUDGET, 2, 7, 64))
+
+
+def brute_delta_max(lo, hi, x, absolute, include_unit=False) -> tuple[int, int, int]:
+    """(d_star, S_star, scanned) by a kronecker loop; ties go to the smallest d."""
+    ds = arith.enumerate_fundamental(lo, hi, include_unit)
+    best = None
+    for d in ds:
+        s = sum(arith.kronecker(d, n) for n in range(1, math.floor(x) + 1))
+        key = abs(s) if absolute else s
+        if best is None or key > best[0]:
+            best = (key, d, s)
+    return best[1], best[2], len(ds)
+
+
+class _Spy:
+    """Wraps arith.lane_sums and counts its calls."""
+
+    def __init__(self):
+        self.calls = 0
+        self._real = arith.lane_sums
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self._real(*args)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-400, 3000), st.integers(1, 200),
+       st.lists(st.integers(1, 150), max_size=10), _chunks)
+@example(0, 1, [], 7)
+@example(5, 9, [3, 12], 1)
+@example(-20, 40, [1, 2, 4, 8, 9, 36], 3)
+def test_lane_sums_matches_kronecker(lo, width, ns, chunk):
+    with mock.patch.object(arith, "LANE_CHUNK_BUDGET", chunk):
+        lanes = arith.lane_sums(lo, lo + width, ns)
+    assert len(lanes) == width
+    for i in range(width):
+        d = lo + 1 + i
+        assert lanes[i] == sum(arith.kronecker(d, n) + 1 for n in ns), (d, ns)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(0, 60), st.integers(0, 2000)), st.integers(1, 250),
+       st.integers(1, 60), st.booleans(), st.booleans(), _chunks)
+@example(10, 10, 5, False, False, arith.LANE_CHUNK_BUDGET)  # S = 1 at d = 13 and 17
+@example(200, 200, 30, True, False, 7)
+@example(0, 8, 3, False, True, 2)  # d = 1 wins with S = 3
+@example(3, 30, 40, True, True, 2)  # x > |d| on the per-d route
+def test_delta_max_matches_kronecker(lo, width, x, absolute, include_unit, chunk):
+    # Windows with floor(x) <= lo read the lanes; the others go per d.
+    if not arith.enumerate_fundamental(lo, lo + width, include_unit):
+        with pytest.raises(EmptyWindowError):
+            delta_max(lo + 0.5, x, X_hi=lo + width, include_unit=include_unit)
+        return
+    spy = _Spy()
+    with mock.patch.object(arith, "LANE_CHUNK_BUDGET", chunk), \
+            mock.patch.object(arith, "lane_sums", spy):
+        res = delta_max(lo + 0.5, x, X_hi=lo + width, absolute=absolute,
+                        include_unit=include_unit)
+    assert spy.calls == int(x <= lo)
+    want = brute_delta_max(lo, lo + width, x, absolute, include_unit)
+    assert (res.d_star, res.s_star, res.scanned) == want
+
+
+@pytest.mark.parametrize("absolute", [False, True])
+@pytest.mark.parametrize("X_lo", [30, 57.5, 211, 400.9])
+@pytest.mark.parametrize("step, lanes", [(0, True), (1, False)])
+def test_delta_max_path_seam(X_lo, step, lanes, absolute):
+    # floor(x) == floor(X_lo) reads the lanes; floor(X_lo) + 1 goes per d.
+    lo = math.floor(X_lo)
+    x = lo + step + 0.5
+    spy = _Spy()
+    with mock.patch.object(arith, "lane_sums", spy):
+        res = delta_max(X_lo, x, X_hi=lo + 120, absolute=absolute)
+    assert spy.calls == int(lanes)
+    assert (res.d_star, res.s_star, res.scanned) == brute_delta_max(lo, lo + 120, x, absolute)
+
+
+@pytest.mark.parametrize("x, lanes", [(7.9, True), (8, False), (30, False)])
+def test_delta_max_lane_width_route(x, lanes, monkeypatch):
+    # With 8 lane terms allowed, floor(x) = 8 no longer fits a lane and takes
+    # the per-d route; the kernel itself refuses 8 terms.
+    monkeypatch.setattr(arith, "LANE_TERMS", 8)
+    with pytest.raises(ValueError, match="16-bit lane limit"):
+        arith.lane_sums(0, 10, range(1, 9))
+    spy = _Spy()
+    monkeypatch.setattr(arith, "lane_sums", spy)
+    for absolute in (False, True):
+        res = delta_max(300, x, X_hi=500, absolute=absolute)
+        assert (res.d_star, res.s_star, res.scanned) == brute_delta_max(300, 500, x, absolute)
+    assert spy.calls == 2 * lanes
+
+
+def reference_moments(spec, squared):
+    """(M1, M2, observed_max) from resonator_value and char_sum, one d at a time."""
+    m1 = resonance._Neumaier()
+    m2 = resonance._Neumaier()
+    observed = -math.inf
+    lo, hi = math.floor(spec.X), math.floor(2 * spec.X)
+    for d in arith.enumerate_fundamental(lo, hi, include_unit=False):
+        r = resonator_value(spec, d)
+        w = r * r
+        s = char_sum(d, spec.x)
+        v = float(s * s) if squared else float(s)
+        m1.add(w)
+        m2.add(v * w)
+        observed = max(observed, v)
+    return m1.total(), m2.total(), observed
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(100, 3000), st.sampled_from((2, 3, 5, 8)), st.booleans(),
+       st.sampled_from((arith.LANE_CHUNK_BUDGET, 97, 1000)))
+@example(5000, 3, False, arith.LANE_CHUNK_BUDGET)
+def test_long_moments_bit_identical_to_resonator_value(X, x, squared, chunk):
+    spec = build_resonator("long", X, x)
+    spy = _Spy()
+    with mock.patch.object(arith, "LANE_CHUNK_BUDGET", chunk), \
+            mock.patch.object(arith, "lane_sums", spy):
+        rep = moment_ratio(spec, squared=squared)
+    assert spy.calls == 2  # S_d(x) and R(d)
+    assert (rep.M1, rep.M2, rep.observed_max) == reference_moments(spec, squared)
+
+
+@pytest.mark.parametrize("variant, X, x", [
+    ("short", 2000.0, 20.0), ("medium", 5000.0, 3.0), ("long", 5000.0, 3.0), ("long", 1e4, 5.0),
+])
+@pytest.mark.parametrize("squared", [False, True])
+def test_moment_ratio_same_bits_on_every_route(variant, X, x, squared, monkeypatch):
+    spec = build_resonator(variant, X, x)
+    lanes = moment_ratio(spec, squared=squared)
+    monkeypatch.setattr(arith, "LANE_TERMS", 1)  # no lane route for S or R
+    spy = _Spy()
+    monkeypatch.setattr(arith, "lane_sums", spy)
+    per_d = moment_ratio(spec, squared=squared)
+    assert spy.calls == 0
+    assert lanes.to_json_dict() == per_d.to_json_dict()

@@ -5,8 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadchar import arith
+from quadchar.arith import char_table
 from quadchar.meanvalues import (
-    _char_table,
     mean_value_main_term,
     mean_value_report,
     mean_value_sum,
@@ -49,7 +49,7 @@ def test_numerator_periodicity_mod_8n():
 @example(72)
 @example(2 * 3 * 5 * 7 * 11)
 def test_char_table_matches_kronecker(n):
-    table = _char_table(n)
+    table = char_table(n)
     odd = math.prod(p for p, _ in arith.factorize(n) if p > 2)
     assert len(table) == (8 if n % 2 == 0 else 1) * odd
     assert table == [arith.kronecker(r, n) for r in range(len(table))]

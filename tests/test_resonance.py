@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from quadchar import arith, gcdsum
+from quadchar import arith, gcdsum, resonance
 from quadchar.charsums import EmptyWindowError
 from quadchar.resonance import (
     LongResonator,
@@ -294,6 +294,17 @@ def test_lemma_dd_window_floor_override():
     lam = math.sqrt(math.log(1e4) * math.log(math.log(1e4)))
     assert lemma_dd_ratio(1e4, 100.0, window_floor=lam * lam) == 100.0
     assert lemma_dd_ratio(1e4, 100.0) > 100.0
+
+
+@pytest.mark.parametrize("budget, ok", [(16, True), (15, False)])
+def test_lemma_dd_pair_budget_boundary(budget, ok, monkeypatch):
+    # Y = 1e4 has the support {1, 5, 7, 35}: 16 pairs.
+    monkeypatch.setattr(resonance, "DD_PAIR_BUDGET", budget)
+    if ok:
+        assert lemma_dd_ratio(1e4, 100.0) > 100.0
+    else:
+        with pytest.raises(ValueError, match="pair budget"):
+            lemma_dd_ratio(1e4, 100.0)
 
 
 def test_lemma_dd_validation():
