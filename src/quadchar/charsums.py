@@ -162,23 +162,25 @@ def delta_max(
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     lo, top = math.floor(X_lo), math.floor(hi)
+    if lo >= top:
+        raise ValueError(f"window ({lo}, {top}] is inverted or empty")
     m = math.floor(x)
-    if _on_lanes(lo, m) and lo < top:
-        # lo >= m >= 1, so the window holds only d >= 2, and no list of them
-        # is built.  max keeps the first maximum, the smallest d.
-        pos, _ = arith.fundamental_flags(top)
-        flags = pos[lo + 1 : top + 1]
-        scanned = flags.count(1)
-        if scanned:
-            lanes = arith.lane_sums(lo, top, range(1, m + 1))
-            key = (lambda i: abs(lanes[i] - m)) if absolute else lanes.__getitem__
-            i = max(compress(range(top - lo), flags), key=key)
-            best_d, best_s = lo + 1 + i, lanes[i] - m
-    else:
-        ds = arith.enumerate_fundamental(lo, top, include_unit)
-        scanned = len(ds)
+    # lo >= 0, so the window holds only d >= 1, and no list of them is built.
+    pos, _ = arith.fundamental_flags(top)
+    flags = pos[lo + 1 : top + 1]
+    if lo == 0 and not include_unit:
+        flags[0] = 0  # d = 1
+    scanned = flags.count(1)
+    if scanned and _on_lanes(lo, m):
+        # max keeps the first maximum, the smallest d.
+        lanes = arith.lane_sums(lo, top, range(1, m + 1))
+        key = (lambda i: abs(lanes[i] - m)) if absolute else lanes.__getitem__
+        i = max(compress(range(top - lo), flags), key=key)
+        best_d, best_s = lo + 1 + i, lanes[i] - m
+    elif scanned:
         best_key = -math.inf
-        for d in ds:  # ascending, so a strict > leaves ties with the smallest d
+        # ascending, so a strict > leaves ties with the smallest d
+        for d in compress(range(lo + 1, top + 1), flags):
             s = _char_sum_trusted(d, x)
             key = abs(s) if absolute else s
             if key > best_key:

@@ -18,6 +18,7 @@ which keeps every report well defined at desk scale.
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Optional, Union
 
 from . import arith, gcdsum
@@ -232,7 +233,11 @@ def build_resonator(
 
 def resonator_value(spec: ResonatorSpec, d) -> float:
     """R(d) under the given spec: a finite product (short) or finite sum
-    (medium/long); no truncation is involved."""
+    (medium/long); no truncation is involved.
+
+    One d at a time through arith.kronecker: this is the oracle that the
+    window scan of moment_ratio is tested against, not its hot path.
+    """
     dv = int(d)
     if isinstance(spec, ShortResonator):
         out = 1.0
@@ -248,6 +253,51 @@ def resonator_value(spec: ResonatorSpec, d) -> float:
     if isinstance(spec, LongResonator):
         return float(sum(arith.kronecker(dv, m) for m in spec.members))
     raise TypeError(f"not a resonator spec: {spec!r}")
+
+
+class _ResidueWeights(dict):
+    """R(d)^2 of a short or medium spec, keyed by k = d mod period.
+
+    chi_d(p) = char_table(p)[d mod P_p], so R(d) depends only on d mod the
+    lcm of the periods P_p of the primes involved.  Each class is evaluated
+    once, on first use, with the operations of resonator_value in the same
+    order; a product of table entries in {-1, 0, 1} is the exact integer
+    kronecker would return, so the bits match.
+    """
+
+    __slots__ = ("period", "_a", "_tables", "_terms")
+
+    def __init__(self, spec):
+        super().__init__()
+        if isinstance(spec, ShortResonator):
+            primes = spec.primes
+            self._a, self._terms = spec.a_p, None
+        else:
+            # A support term n is the product of chi_d(p) over p^e || n,
+            # each p repeated e times.
+            factors = [arith.factorize(n) for n, _ in spec.support]
+            primes = sorted({p for f in factors for p, _ in f})
+            at = {p: j for j, p in enumerate(primes)}
+            self._terms = [
+                (tuple(at[p] for p, e in f for _ in range(e)), rn)
+                for f, (_, rn) in zip(factors, spec.support)
+            ]
+        self._tables = [arith.char_table(p) for p in primes]
+        self.period = math.lcm(*(len(t) for t in self._tables))
+
+    def __missing__(self, k: int) -> float:
+        chi = [t[k % len(t)] for t in self._tables]
+        if self._terms is None:
+            r = 1.0
+            for c in chi:
+                r /= 1.0 - self._a * c
+        else:
+            acc = _Neumaier()
+            for js, rn in self._terms:
+                acc.add(rn * math.prod(chi[j] for j in js))
+            r = acc.total()
+        w = self[k] = r * r
+        return w
 
 
 @dataclass(frozen=True)
@@ -327,40 +377,65 @@ def moment_ratio(spec: ResonatorSpec, squared: bool = False) -> RatioReport:
     S_d(x) is read from arith.lane_sums when floor(x) <= floor(X) and
     floor(x) < arith.LANE_TERMS, and so is R(d) of a long spec with
     N < arith.LANE_TERMS, as the lane sum of chi_d(m) + 1 over the members
-    minus N.  The accumulation order is the same on every route, so the
-    results are bit-identical.
+    minus N.  R(d) of a short or medium spec depends only on d modulo the
+    periods of its primes, and is evaluated once per residue class met, from
+    arith.char_table.  Only a long spec with N >= arith.LANE_TERMS takes
+    R(d) from resonator_value, one d at a time.  Every route gives the same
+    S_d(x) and R(d)^2, accumulated in the same order with the operations of
+    _Neumaier, so the results are bit-identical to a loop over
+    resonator_value and char_sum.
     """
     X, x = spec.X, spec.x
     lo, hi = math.floor(X), math.floor(2 * X)
-    ds = arith.enumerate_fundamental(lo, hi, include_unit=False)
-    if not ds:
+    pos, _ = arith.fundamental_flags(hi)
+    # X < 1 leaves at most d = 1, which is never scanned.
+    flags = pos[lo + 1 : hi + 1] if lo >= 1 else bytearray()
+    scanned = flags.count(1)
+    if not scanned:
         raise EmptyWindowError(f"no fundamental discriminants in ({X}, {2 * X}]")
 
-    base, m = lo + 1, math.floor(x)
-    if _on_lanes(lo, m):
-        s_lanes = arith.lane_sums(lo, hi, range(1, m + 1))
-        s_of = lambda d: s_lanes[d - base] - m
-    else:
-        s_of = lambda d: _char_sum_trusted(d, x)
-    if isinstance(spec, LongResonator) and spec.N < arith.LANE_TERMS:
-        r_lanes = arith.lane_sums(lo, hi, spec.members)
-        r_of = lambda d: float(r_lanes[d - base] - spec.N)
-    else:
-        r_of = lambda d: resonator_value(spec, d)
+    def ds():  # the fundamental d of the window, ascending
+        return compress(range(lo + 1, hi + 1), flags)
 
-    m1 = _Neumaier()
-    m2 = _Neumaier()
+    m = math.floor(x)
+    if _on_lanes(lo, m):
+        # lane value S_d(x) + m -> S_d(x) or S_d(x)^2 as a float
+        v_of = [float(s * s) if squared else float(s) for s in range(-m, m + 1)]
+        vs = map(v_of.__getitem__, compress(arith.lane_sums(lo, hi, range(1, m + 1)), flags))
+    else:
+        ss = (_char_sum_trusted(d, x) for d in ds())
+        vs = (float(s * s) for s in ss) if squared else map(float, ss)
+    if isinstance(spec, LongResonator):
+        if spec.N < arith.LANE_TERMS:
+            # lane value R(d) + N -> R(d)^2
+            w_of = [r * r for r in map(float, range(-spec.N, spec.N + 1))]
+            ws = map(w_of.__getitem__, compress(arith.lane_sums(lo, hi, spec.members), flags))
+        else:
+            ws = (r * r for r in (resonator_value(spec, d) for d in ds()))
+    else:
+        memo = _ResidueWeights(spec)
+        ws = map(memo.__getitem__, map(memo.period.__rmod__, ds()))
+
+    # Two _Neumaier accumulators, inlined: (s1, c1) for M1, (s2, c2) for M2.
+    s1 = c1 = s2 = c2 = 0.0
     observed = -math.inf
-    for d in ds:
-        r = r_of(d)
-        w = r * r
-        s = s_of(d)
-        v = float(s * s) if squared else float(s)
-        m1.add(w)
-        m2.add(v * w)
+    for v, w in zip(vs, ws):
+        t = s1 + w
+        if abs(s1) >= abs(w):
+            c1 += (s1 - t) + w
+        else:
+            c1 += (w - t) + s1
+        s1 = t
+        u = v * w
+        t = s2 + u
+        if abs(s2) >= abs(u):
+            c2 += (s2 - t) + u
+        else:
+            c2 += (u - t) + s2
+        s2 = t
         if v > observed:
             observed = v
-    M1, M2 = m1.total(), m2.total()
+    M1, M2 = s1 + c1, s2 + c2
     if not M1 > 0:
         raise ValueError("resonator weight vanished on the whole window")
     ratio = M2 / M1
@@ -375,7 +450,7 @@ def moment_ratio(spec: ResonatorSpec, squared: bool = False) -> RatioReport:
         observed_max=observed,
         squared=squared,
         inequality_holds=holds,
-        discriminants_scanned=len(ds),
+        discriminants_scanned=scanned,
     )
 
 

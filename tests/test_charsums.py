@@ -113,6 +113,10 @@ def test_delta_max_empty_window():
         delta_max(-3, 5)
     with pytest.raises(ValueError):
         delta_max(10, 0.5)
+    with pytest.raises(ValueError, match=r"window \(10, 5\] is inverted or empty"):
+        delta_max(10, 3, X_hi=5)
+    with pytest.raises(EmptyWindowError):
+        delta_max(0.5, 3, X_hi=1)  # only d = 1, and it is left out
 
 
 def test_pv_baseline():

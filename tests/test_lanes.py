@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from quadchar import arith, resonance
 from quadchar.charsums import EmptyWindowError, char_sum, delta_max
-from quadchar.resonance import build_resonator, moment_ratio, resonator_value
+from quadchar.resonance import (
+    MediumResonator,
+    ShortResonator,
+    build_resonator,
+    moment_ratio,
+    resonator_value,
+    squarefree_support,
+)
 
 # Chunk sizes for arith.LANE_CHUNK_BUDGET: the default, and small ones that
 # put chunk seams inside every window.
@@ -152,3 +159,62 @@ def test_moment_ratio_same_bits_on_every_route(variant, X, x, squared, monkeypat
     per_d = moment_ratio(spec, squared=squared)
     assert spy.calls == 0
     assert lanes.to_json_dict() == per_d.to_json_dict()
+
+
+@pytest.mark.parametrize("X, x", [
+    (2000.0, 20.0), (3000.0, 30.0),  # S_d(x) from the lanes
+    (400.0, 600.0), (700.0, 1000.0),  # floor(x) > floor(X): S_d(x) one d at a time
+])
+@pytest.mark.parametrize("squared", [False, True])
+def test_short_moments_bit_identical_to_resonator_value(X, x, squared):
+    spec = build_resonator("short", X, x)
+    assert spec.primes
+    rep = moment_ratio(spec, squared=squared)
+    assert (rep.M1, rep.M2, rep.observed_max) == reference_moments(spec, squared)
+
+
+def test_short_moments_with_period_past_the_window():
+    # 8*3*5*7*11*13 = 120120 residue classes against a window of 700; at
+    # a_p = 0.55 another division order changes the bits of R(d).
+    spec = ShortResonator(X=700.0, x=9.0, alpha=0.1, delta=0.05, y=13.0,
+                          primes=(2, 3, 5, 7, 11, 13), a_p=0.55)
+    for squared in (False, True):
+        rep = moment_ratio(spec, squared=squared)
+        assert (rep.M1, rep.M2, rep.observed_max) == reference_moments(spec, squared)
+
+
+def _medium(X, x, primes, y, lam=4.0):
+    """A medium spec on a hand-picked prime window; build_resonator leaves
+    the window empty at every X the fundamental-flag budget allows."""
+    rates = [lam / (math.sqrt(p) * math.log(p)) for p in primes]
+    return MediumResonator(
+        X=X, x=x, delta=0.01, y=y, lam=lam, prime_lo=min(primes), prime_hi=max(primes),
+        primes=primes, support=squarefree_support(primes, rates, y),
+    )
+
+
+@pytest.mark.parametrize("spec", [
+    _medium(3000.0, 10.0, (2, 3, 5, 7), 200.0),  # period 8*3*5*7 = 840 < window
+    _medium(2000.0, 12.0, (5, 7, 11, 13, 17, 19), 5000.0),  # period 1616615 > window
+    MediumResonator(X=40.0, x=60.0, delta=0.01, y=1.0, lam=None, prime_lo=math.inf,
+                    prime_hi=-math.inf, primes=(), support=((1, 1.0),)),
+], ids=["with-2", "period-past-window", "trivial-support"])
+@pytest.mark.parametrize("squared", [False, True])
+def test_medium_moments_bit_identical_to_resonator_value(spec, squared):
+    assert len(spec.support) > 1 or not spec.primes
+    rep = moment_ratio(spec, squared=squared)
+    assert (rep.M1, rep.M2, rep.observed_max) == reference_moments(spec, squared)
+
+
+@pytest.mark.parametrize("variant, X, x, squared", [
+    ("short", 2e3, 20.0, False), ("long", 5e3, 3.0, False), ("medium", 5e3, 3.0, True),
+])
+def test_moment_ratio_calls_no_kronecker(variant, X, x, squared, monkeypatch):
+    # Small versions of the benchmark's resonate requests: every S_d(x) and
+    # R(d) comes from character tables, none from a per-d kronecker call.
+    spec = build_resonator(variant, X, x)
+    calls = []
+    real = arith.kronecker
+    monkeypatch.setattr(arith, "kronecker", lambda d, n: calls.append((d, n)) or real(d, n))
+    moment_ratio(spec, squared=squared)
+    assert calls == []
