@@ -2,9 +2,10 @@
 brute-force maxima of S_d(x) over fundamental discriminants in a window.
 
 chi_d is realized as the Kronecker symbol (d/.), so every sum here is an
-exact integer.  A window scan with floor(x) <= lo reads every S_d(x) of the
-window (lo, hi] at once from arith.lane_sums; the other sums go one d at a
-time through _char_values.
+exact integer.  window_sums is the one window scan: delta_max and
+resonance.moment_ratio read every S_d(x) of a window (lo, hi] from it.  With
+floor(x) <= lo it reads them all at once from arith.lane_sums; the other sums
+go one d at a time through _char_values.
 """
 
 import math
@@ -21,6 +22,7 @@ __all__ = [
     "char_sum_prefix",
     "delta_max",
     "pv_baseline",
+    "window_sums",
 ]
 
 
@@ -67,11 +69,28 @@ def _char_sum_trusted(d: int, x: float) -> int:
     return q * sum(period[1:]) + sum(period[1 : r + 1])
 
 
-def _on_lanes(lo: int, m: int) -> bool:
-    """Whether a scan of the window (lo, hi] at cutoff m = floor(x) reads its
-    S_d(x) + m from arith.lane_sums(lo, hi, range(1, m + 1)): m <= lo, and the
-    m terms chi_d(n) + 1 fit a 16-bit lane."""
-    return m <= lo and m < arith.LANE_TERMS
+def window_sums(lo: int, hi: int, x: float, include_unit: bool = False):
+    """(flags, sums) for the window (lo, hi] of integers, 0 <= lo < hi.
+
+    flags[i] is 1 when d = lo + 1 + i is a fundamental discriminant of the
+    scan (d = 1 only with include_unit), and sums[i] = S_d(x) + floor(x) at
+    each such i.  With floor(x) <= lo and floor(x) < arith.LANE_TERMS, sums
+    is arith.lane_sums(lo, hi, range(1, floor(x) + 1)): every sum at once, the
+    floor(x) terms chi_d(n) + 1 fitting a 16-bit lane.  Otherwise it is a list
+    with each flagged sum computed one d at a time and 0 elsewhere.  Nothing
+    is sized by x.
+    """
+    m = math.floor(x)
+    pos, _ = arith.fundamental_flags(hi)
+    flags = pos[lo + 1 : hi + 1]
+    if lo == 0 and not include_unit:
+        flags[0] = 0  # d = 1
+    if 1 not in flags:
+        return flags, []
+    if m <= lo and m < arith.LANE_TERMS:
+        return flags, arith.lane_sums(lo, hi, range(1, m + 1))
+    ds = range(lo + 1, hi + 1)
+    return flags, [_char_sum_trusted(d, x) + m if f else 0 for d, f in zip(ds, flags)]
 
 
 def char_sum(d, x: float) -> int:
@@ -119,17 +138,6 @@ class MaxSearchResult:
     scanned: int
     absolute: bool = False
 
-    def to_json_dict(self) -> dict:
-        return {
-            "X_lo": self.window_lo,
-            "X_hi": self.window_hi,
-            "x": self.x,
-            "d_star": self.d_star,
-            "S_star": self.s_star,
-            "scanned": self.scanned,
-            "absolute": self.absolute,
-        }
-
     CSV_HEADER = ("X_lo", "X_hi", "x", "d_star", "S_star", "scanned", "absolute")
 
     def to_csv_row(self) -> tuple:
@@ -142,6 +150,9 @@ class MaxSearchResult:
             self.scanned,
             self.absolute,
         )
+
+    def to_json_dict(self) -> dict:
+        return dict(zip(self.CSV_HEADER, self.to_csv_row()))
 
 
 def delta_max(
@@ -165,28 +176,14 @@ def delta_max(
     if lo >= top:
         raise ValueError(f"window ({lo}, {top}] is inverted or empty")
     m = math.floor(x)
-    # lo >= 0, so the window holds only d >= 1, and no list of them is built.
-    pos, _ = arith.fundamental_flags(top)
-    flags = pos[lo + 1 : top + 1]
-    if lo == 0 and not include_unit:
-        flags[0] = 0  # d = 1
+    flags, sums = window_sums(lo, top, x, include_unit)
     scanned = flags.count(1)
-    if scanned and _on_lanes(lo, m):
-        # max keeps the first maximum, the smallest d.
-        lanes = arith.lane_sums(lo, top, range(1, m + 1))
-        key = (lambda i: abs(lanes[i] - m)) if absolute else lanes.__getitem__
-        i = max(compress(range(top - lo), flags), key=key)
-        best_d, best_s = lo + 1 + i, lanes[i] - m
-    elif scanned:
-        best_key = -math.inf
-        # ascending, so a strict > leaves ties with the smallest d
-        for d in compress(range(lo + 1, top + 1), flags):
-            s = _char_sum_trusted(d, x)
-            key = abs(s) if absolute else s
-            if key > best_key:
-                best_key, best_d, best_s = key, d, s
     if not scanned:
         raise EmptyWindowError(f"no fundamental discriminants in ({X_lo}, {hi}]")
+    # max keeps the first maximum, the smallest d.
+    key = (lambda i: abs(sums[i] - m)) if absolute else sums.__getitem__
+    i = max(compress(range(top - lo), flags), key=key)
+    best_d, best_s = lo + 1 + i, sums[i] - m
     return MaxSearchResult(
         window_lo=float(X_lo),
         window_hi=float(hi),

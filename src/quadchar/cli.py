@@ -152,10 +152,11 @@ def _cmd_gcd_sum(args: argparse.Namespace) -> int:
     print(f"N={mset.N} y_M={mset.y_M} gcd_sum={total:.10g} reference={ref_str}")
     if args.out_set:
         gcdsum.save_gcd_set(mset, args.out_set)
+    header, row = ("N", "y_M", "gcd_sum", "reference"), (mset.N, mset.y_M, total, ref)
     if args.json:
-        _write_json(args.json, {"N": mset.N, "y_M": mset.y_M, "gcd_sum": total, "reference": ref})
+        _write_json(args.json, dict(zip(header, row)))
     if args.csv:
-        _write_csv(args.csv, ("N", "y_M", "gcd_sum", "reference"), (mset.N, mset.y_M, total, ref))
+        _write_csv(args.csv, header, row)
     return EXIT_OK
 
 

@@ -38,11 +38,15 @@ class GcdSet:
             raise ValueError("members must be positive")
         if any(a >= b for a, b in zip(m, m[1:])):
             raise ValueError("members must be strictly ascending")
+        y_M = 1  # P+(1) = 1
         for v in m:
-            if not arith.is_squarefree(v):
+            factors = arith.factorize(v)
+            if any(e > 1 for _, e in factors):
                 raise ValueError(f"member {v} is not squarefree")
+            if factors:
+                y_M = max(y_M, factors[-1][0])
         object.__setattr__(self, "members", m)
-        object.__setattr__(self, "y_M", max(arith.largest_prime_factor(v) for v in m))
+        object.__setattr__(self, "y_M", y_M)
 
     @classmethod
     def from_iterable(cls, values) -> "GcdSet":

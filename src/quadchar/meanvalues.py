@@ -105,15 +105,7 @@ class MeanValueReport:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "X": self.X,
-            "exact_sum": self.exact_sum,
-            "main_term": self.main_term,
-            "residual": self.residual,
-            "uncond_envelope": self.unconditional_envelope,
-            "grh_envelope": self.grh_envelope,
-        }
+        return dict(zip(self.CSV_HEADER, self.to_csv_row()))
 
 
 def mean_value_report(n: int, X: float, eps: float = 0.05) -> MeanValueReport:

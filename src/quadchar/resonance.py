@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, Optional, Union
 
-from . import arith, gcdsum
-from .charsums import EmptyWindowError, _char_sum_trusted, _on_lanes
+from . import arith, charsums, gcdsum
+from .charsums import EmptyWindowError
 
 __all__ = [
     "TOL_REL",
@@ -67,6 +67,20 @@ class _Neumaier:
 
     def total(self) -> float:
         return self._s + self._c
+
+
+class _Memo(dict):
+    """f(k) for each key k, computed once, on first use."""
+
+    __slots__ = ("_f",)
+
+    def __init__(self, f):
+        super().__init__()
+        self._f = f
+
+    def __missing__(self, k):
+        v = self[k] = self._f(k)
+        return v
 
 
 @dataclass(frozen=True)
@@ -226,6 +240,10 @@ def build_resonator(
             raise ValueError(
                 f"long variant needs floor(X^(1/2-delta)/x) >= 1, got {N} for X={X}, x={x}"
             )
+        # Flags for the scan past their budget: refused before the set is built.
+        budget = arith.FUNDAMENTAL_SIEVE_BUDGET
+        if (hi := math.floor(2 * X)) > budget:
+            raise ValueError(f"fundamental sieve up to {hi} exceeds its budget of {budget}")
         return LongResonator(X=X, x=x, delta=delta, N=N, M=gcdsum.construct_extremal_set(N))
 
     raise ValueError(f"unknown variant {variant!r}; expected short, medium, or long")
@@ -235,8 +253,9 @@ def resonator_value(spec: ResonatorSpec, d) -> float:
     """R(d) under the given spec: a finite product (short) or finite sum
     (medium/long); no truncation is involved.
 
-    One d at a time through arith.kronecker: this is the oracle that the
-    window scan of moment_ratio is tested against, not its hot path.
+    One d at a time through arith.kronecker.  moment_ratio calls it once per
+    residue class d mod P of a short or medium spec; a long spec's window
+    scan reads R(d) from the lanes and is tested against this oracle.
     """
     dv = int(d)
     if isinstance(spec, ShortResonator):
@@ -253,51 +272,6 @@ def resonator_value(spec: ResonatorSpec, d) -> float:
     if isinstance(spec, LongResonator):
         return float(sum(arith.kronecker(dv, m) for m in spec.members))
     raise TypeError(f"not a resonator spec: {spec!r}")
-
-
-class _ResidueWeights(dict):
-    """R(d)^2 of a short or medium spec, keyed by k = d mod period.
-
-    chi_d(p) = char_table(p)[d mod P_p], so R(d) depends only on d mod the
-    lcm of the periods P_p of the primes involved.  Each class is evaluated
-    once, on first use, with the operations of resonator_value in the same
-    order; a product of table entries in {-1, 0, 1} is the exact integer
-    kronecker would return, so the bits match.
-    """
-
-    __slots__ = ("period", "_a", "_tables", "_terms")
-
-    def __init__(self, spec):
-        super().__init__()
-        if isinstance(spec, ShortResonator):
-            primes = spec.primes
-            self._a, self._terms = spec.a_p, None
-        else:
-            # A support term n is the product of chi_d(p) over p^e || n,
-            # each p repeated e times.
-            factors = [arith.factorize(n) for n, _ in spec.support]
-            primes = sorted({p for f in factors for p, _ in f})
-            at = {p: j for j, p in enumerate(primes)}
-            self._terms = [
-                (tuple(at[p] for p, e in f for _ in range(e)), rn)
-                for f, (_, rn) in zip(factors, spec.support)
-            ]
-        self._tables = [arith.char_table(p) for p in primes]
-        self.period = math.lcm(*(len(t) for t in self._tables))
-
-    def __missing__(self, k: int) -> float:
-        chi = [t[k % len(t)] for t in self._tables]
-        if self._terms is None:
-            r = 1.0
-            for c in chi:
-                r /= 1.0 - self._a * c
-        else:
-            acc = _Neumaier()
-            for js, rn in self._terms:
-                acc.add(rn * math.prod(chi[j] for j in js))
-            r = acc.total()
-        w = self[k] = r * r
-        return w
 
 
 @dataclass(frozen=True)
@@ -374,47 +348,41 @@ def moment_ratio(spec: ResonatorSpec, squared: bool = False) -> RatioReport:
     """Scan fundamental d in (X, 2X] once, accumulating M1, M2, and the
     observed maximum; deterministic.
 
-    S_d(x) is read from arith.lane_sums when floor(x) <= floor(X) and
-    floor(x) < arith.LANE_TERMS, and so is R(d) of a long spec with
-    N < arith.LANE_TERMS, as the lane sum of chi_d(m) + 1 over the members
-    minus N.  R(d) of a short or medium spec depends only on d modulo the
-    periods of its primes, and is evaluated once per residue class met, from
-    arith.char_table.  Only a long spec with N >= arith.LANE_TERMS takes
-    R(d) from resonator_value, one d at a time.  Every route gives the same
-    S_d(x) and R(d)^2, accumulated in the same order with the operations of
-    _Neumaier, so the results are bit-identical to a loop over
-    resonator_value and char_sum.
+    S_d(x) comes from charsums.window_sums, the window scan delta_max also
+    reads.  R(d) takes one of two forms.  A long spec reads it from the lanes
+    of its members, arith.lane_sums(lo, hi, members), as the lane sum of
+    chi_d(m) + 1 minus N; a set of N >= arith.LANE_TERMS members is refused
+    there with ValueError.  A short or medium R(d) depends only on d mod P,
+    with P the lcm of the periods of chi_d(p) (8 for p = 2, p otherwise) over
+    the primes of its terms, so R(d)^2 is resonator_value(spec, d mod P)
+    squared, evaluated once per residue class met.  Every value of S_d(x) and
+    R(d)^2 is converted once and memoized; the sums run in ascending d with
+    the operations of _Neumaier, so the results are bit-identical to a loop
+    over resonator_value and char_sum.
     """
     X, x = spec.X, spec.x
     lo, hi = math.floor(X), math.floor(2 * X)
-    pos, _ = arith.fundamental_flags(hi)
     # X < 1 leaves at most d = 1, which is never scanned.
-    flags = pos[lo + 1 : hi + 1] if lo >= 1 else bytearray()
+    flags, sums = charsums.window_sums(lo, hi, x) if lo >= 1 else (bytearray(), [])
     scanned = flags.count(1)
     if not scanned:
         raise EmptyWindowError(f"no fundamental discriminants in ({X}, {2 * X}]")
 
-    def ds():  # the fundamental d of the window, ascending
-        return compress(range(lo + 1, hi + 1), flags)
-
     m = math.floor(x)
-    if _on_lanes(lo, m):
-        # lane value S_d(x) + m -> S_d(x) or S_d(x)^2 as a float
-        v_of = [float(s * s) if squared else float(s) for s in range(-m, m + 1)]
-        vs = map(v_of.__getitem__, compress(arith.lane_sums(lo, hi, range(1, m + 1)), flags))
-    else:
-        ss = (_char_sum_trusted(d, x) for d in ds())
-        vs = (float(s * s) for s in ss) if squared else map(float, ss)
+    # S_d(x) + m -> S_d(x) or S_d(x)^2 as a float
+    v_of = _Memo(lambda t: float((t - m) ** 2 if squared else t - m))
+    vs = map(v_of.__getitem__, compress(sums, flags))
     if isinstance(spec, LongResonator):
-        if spec.N < arith.LANE_TERMS:
-            # lane value R(d) + N -> R(d)^2
-            w_of = [r * r for r in map(float, range(-spec.N, spec.N + 1))]
-            ws = map(w_of.__getitem__, compress(arith.lane_sums(lo, hi, spec.members), flags))
-        else:
-            ws = (r * r for r in (resonator_value(spec, d) for d in ds()))
+        # lane value R(d) + N -> R(d)^2
+        w_of = _Memo(lambda t: (r := float(t - spec.N)) * r)
+        ws = map(w_of.__getitem__, compress(arith.lane_sums(lo, hi, spec.members), flags))
     else:
-        memo = _ResidueWeights(spec)
-        ws = map(memo.__getitem__, map(memo.period.__rmod__, ds()))
+        # d -> R(d)^2 through k = d mod P: kronecker(k, n) == kronecker(d, n)
+        # when 8 | P for 2 | n and p | P for every odd prime p | n.
+        terms = spec.primes if isinstance(spec, ShortResonator) else [n for n, _ in spec.support]
+        P = math.lcm(*{8 if p == 2 else p for n in terms for p, _ in arith.factorize(n)})
+        w_of = _Memo(lambda k: (r := resonator_value(spec, k)) * r)
+        ws = map(w_of.__getitem__, map(P.__rmod__, compress(range(lo + 1, hi + 1), flags)))
 
     # Two _Neumaier accumulators, inlined: (s1, c1) for M1, (s2, c2) for M2.
     s1 = c1 = s2 = c2 = 0.0

@@ -209,6 +209,31 @@ def test_long_resonator_set_budget_boundary(budget, rc, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def _no_extremal_set(N):
+    raise AssertionError("the GCD set is built before the sieve budget is checked")
+
+
+def test_long_resonator_past_sieve_budget_exits_2(monkeypatch, capsys):
+    # floor(2X) = 1e13 fundamental flags: refused before the set of N = 834,574 is built.
+    monkeypatch.setattr(gcdsum, "construct_extremal_set", _no_extremal_set)
+    assert run_cli("resonate", "--variant", "long", "--X", "5e12", "--x", "2") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: fundamental sieve up to 10000000000000 exceeds its budget of 100000000\n"
+
+
+@pytest.mark.parametrize("X, rc", [("5000", 0), ("5000.5", 2)])
+def test_long_resonator_sieve_budget_boundary(X, rc, monkeypatch, capsys):
+    # floor(2X) = 10000 is at the lowered budget, 10001 is past it.
+    monkeypatch.setattr(arith, "FUNDAMENTAL_SIEVE_BUDGET", 10**4)
+    if rc:
+        monkeypatch.setattr(gcdsum, "construct_extremal_set", _no_extremal_set)
+    assert run_cli("resonate", "--variant", "long", "--X", X, "--x", "3") == rc
+    out, err = capsys.readouterr()
+    if rc:
+        assert out == "" and "exceeds its budget" in err
+
+
 def test_memory_error_exits_2(monkeypatch, capsys):
     def exhausted(args):
         raise MemoryError

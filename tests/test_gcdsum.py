@@ -109,6 +109,18 @@ def test_gcdset_validation():
     assert ms.y_M == 7
 
 
+def test_gcdset_factorizes_each_member_once(monkeypatch):
+    calls = []
+    real = arith.factorize
+    monkeypatch.setattr(arith, "factorize", lambda n: calls.append(n) or real(n))
+    ms = GcdSet((1, 6, 35, 143))
+    assert calls == [1, 6, 35, 143]
+    assert ms.y_M == 13
+    assert GcdSet((1,)).y_M == 1
+    with pytest.raises(ValueError, match="member 12 is not squarefree"):
+        GcdSet((1, 12, 13))
+
+
 def test_construct_extremal_pinned_small():
     assert construct_extremal_set(1).members == (2,)
     assert construct_extremal_set(3).members == (2, 3, 5)

@@ -2,6 +2,8 @@
 window scans that read from it, against a brute-force kronecker loop."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -10,7 +12,9 @@ from hypothesis import strategies as st
 
 from quadchar import arith, resonance
 from quadchar.charsums import EmptyWindowError, char_sum, delta_max
+from quadchar.gcdsum import GcdSet
 from quadchar.resonance import (
+    LongResonator,
     MediumResonator,
     ShortResonator,
     build_resonator,
@@ -151,14 +155,40 @@ def test_long_moments_bit_identical_to_resonator_value(X, x, squared, chunk):
 ])
 @pytest.mark.parametrize("squared", [False, True])
 def test_moment_ratio_same_bits_on_every_route(variant, X, x, squared, monkeypatch):
+    # S_d(x) from the lanes, then one d at a time; R(d) has one route per variant.
+    m = math.floor(x)
     spec = build_resonator(variant, X, x)
-    lanes = moment_ratio(spec, squared=squared)
-    monkeypatch.setattr(arith, "LANE_TERMS", 1)  # no lane route for S or R
+    if variant == "long":
+        # floor(x) - 1 members, so R(d) still fits the narrowed lanes below
+        spec = replace(spec, N=m - 1, M=GcdSet(spec.members[: m - 1]))
     spy = _Spy()
     monkeypatch.setattr(arith, "lane_sums", spy)
+    lanes = moment_ratio(spec, squared=squared)
+    assert spy.calls == 1 + (variant == "long")
+    monkeypatch.setattr(arith, "LANE_TERMS", m)  # floor(x) terms no longer fit a lane
     per_d = moment_ratio(spec, squared=squared)
-    assert spy.calls == 0
+    assert spy.calls == 1 + 2 * (variant == "long")
     assert lanes.to_json_dict() == per_d.to_json_dict()
+
+
+@pytest.mark.parametrize("squared", [False, True])
+def test_long_moments_with_x_past_the_window(squared):
+    # floor(x) > floor(X): S_d(x) one d at a time, R(d) from the members' lanes.
+    members = build_resonator("long", 5000.0, 3.0).members
+    spec = LongResonator(X=400.0, x=600.0, delta=0.01, N=len(members), M=GcdSet(members))
+    rep = moment_ratio(spec, squared=squared)
+    assert (rep.M1, rep.M2, rep.observed_max) == reference_moments(spec, squared)
+
+
+def test_long_members_past_the_lane_width_raise(monkeypatch):
+    # No per-d route is left for R(d): N >= LANE_TERMS is refused by the kernel.
+    spec = build_resonator("long", 5000.0, 3.0)
+    want = moment_ratio(spec).to_json_dict()
+    monkeypatch.setattr(arith, "LANE_TERMS", spec.N)
+    with pytest.raises(ValueError, match="16-bit lane limit"):
+        moment_ratio(spec)
+    monkeypatch.setattr(arith, "LANE_TERMS", spec.N + 1)
+    assert moment_ratio(spec).to_json_dict() == want
 
 
 @pytest.mark.parametrize("X, x", [
@@ -209,12 +239,38 @@ def test_medium_moments_bit_identical_to_resonator_value(spec, squared):
 @pytest.mark.parametrize("variant, X, x, squared", [
     ("short", 2e3, 20.0, False), ("long", 5e3, 3.0, False), ("medium", 5e3, 3.0, True),
 ])
-def test_moment_ratio_calls_no_kronecker(variant, X, x, squared, monkeypatch):
-    # Small versions of the benchmark's resonate requests: every S_d(x) and
-    # R(d) comes from character tables, none from a per-d kronecker call.
+def test_moment_ratio_kronecker_calls(variant, X, x, squared, monkeypatch):
+    # Small versions of the benchmark's resonate requests: every S_d(x) comes
+    # from the lanes, and a short or medium R(d) from resonator_value once per
+    # residue class d mod P met, one kronecker call per term; a long R(d)
+    # comes from the lanes.
     spec = build_resonator(variant, X, x)
     calls = []
     real = arith.kronecker
     monkeypatch.setattr(arith, "kronecker", lambda d, n: calls.append((d, n)) or real(d, n))
     moment_ratio(spec, squared=squared)
-    assert calls == []
+    if variant == "long":
+        assert calls == []
+        return
+    terms = spec.primes if variant == "short" else [n for n, _ in spec.support]
+    period = math.lcm(*(len(arith.char_table(n)) for n in terms))
+    ds = arith.enumerate_fundamental(math.floor(X), math.floor(2 * X), include_unit=False)
+    classes = {d % period for d in ds}
+    assert len(calls) == len(classes) * len(terms)
+    assert {k for k, _ in calls} == classes
+
+
+@pytest.mark.parametrize("scan", ["moment_ratio", "delta_max"])
+def test_scans_at_x_past_the_window_stay_small(scan):
+    # x = 1e6 against a window of 500: nothing in a scan may be sized by x.
+    X, x = 500.0, 1e6
+    spec = ShortResonator(X=X, x=x, alpha=0.1, delta=0.05, y=7.0, primes=(2, 3, 5, 7), a_p=0.5)
+    call = (lambda: moment_ratio(spec)) if scan == "moment_ratio" else (lambda: delta_max(X, x))
+    call()  # sieves grown outside the measurement
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
