@@ -4,8 +4,8 @@ brute-force maxima of S_d(x) over fundamental discriminants in a window.
 chi_d is realized as the Kronecker symbol (d/.), so every sum here is an
 exact integer.  window_sums is the one window scan: delta_max and
 resonance.moment_ratio read every S_d(x) of a window (lo, hi] from it.  With
-floor(x) <= lo it reads them all at once from arith.lane_sums; the other sums
-go one d at a time through _char_values.
+floor(x) <= hi - lo it reads them all at once from arith.lane_sums; the other
+sums go one d at a time through _char_values.
 """
 
 import math
@@ -74,11 +74,12 @@ def window_sums(lo: int, hi: int, x: float, include_unit: bool = False):
 
     flags[i] is 1 when d = lo + 1 + i is a fundamental discriminant of the
     scan (d = 1 only with include_unit), and sums[i] = S_d(x) + floor(x) at
-    each such i.  With floor(x) <= lo and floor(x) < arith.LANE_TERMS, sums
-    is arith.lane_sums(lo, hi, range(1, floor(x) + 1)): every sum at once, the
-    floor(x) terms chi_d(n) + 1 fitting a 16-bit lane.  Otherwise it is a list
-    with each flagged sum computed one d at a time and 0 elsewhere.  Nothing
-    is sized by x.
+    each such i.  With floor(x) <= hi - lo and floor(x) < arith.LANE_TERMS,
+    sums is arith.lane_sums(lo, hi, range(1, floor(x) + 1)): every sum at once,
+    the floor(x) terms chi_d(n) + 1 fitting a 16-bit lane.  The kernel is exact
+    for every integer d, so the window's width, not its start, picks the route.
+    Otherwise sums is a list with each flagged sum computed one d at a time and
+    0 elsewhere.  Nothing is sized by x.
     """
     m = math.floor(x)
     pos, _ = arith.fundamental_flags(hi)
@@ -87,7 +88,7 @@ def window_sums(lo: int, hi: int, x: float, include_unit: bool = False):
         flags[0] = 0  # d = 1
     if 1 not in flags:
         return flags, []
-    if m <= lo and m < arith.LANE_TERMS:
+    if m <= hi - lo and m < arith.LANE_TERMS:
         return flags, arith.lane_sums(lo, hi, range(1, m + 1))
     ds = range(lo + 1, hi + 1)
     return flags, [_char_sum_trusted(d, x) + m if f else 0 for d, f in zip(ds, flags)]

@@ -1,12 +1,14 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import quadchar
-from quadchar import arith, cli, gcdsum
+from quadchar import arith, cli, gcdsum, verify
 
 
 def run_cli(*argv) -> int:
@@ -246,12 +248,16 @@ def test_memory_error_exits_2(monkeypatch, capsys):
 
 
 def test_cli_never_imports_numpy():
+    # Neither numpy nor a module the request does not run: importing the CLI,
+    # psi and delta-max load no resonance, gcdsum, meanvalues or verify.
     code = (
         "import sys\n"
         "import quadchar, quadchar.cli\n"
-        "for argv in (['psi', '--x', '100', '--y', '5'], ['delta-max', '--X', '10', '--x', '5'],\n"
-        "             ['mean-value', '--n', '4', '--X', '1e3']):\n"
-        "    assert quadchar.cli.main(argv) == 0, argv\n"
+        "idle = {'quadchar.' + m for m in ('resonance', 'gcdsum', 'meanvalues', 'verify')}\n"
+        "for argv in ([], ['psi', '--x', '100', '--y', '5'], ['delta-max', '--X', '10', '--x', '5']):\n"
+        "    assert not argv or quadchar.cli.main(argv) == 0, argv\n"
+        "    assert not idle & set(sys.modules), (argv, sorted(idle & set(sys.modules)))\n"
+        "assert quadchar.cli.main(['mean-value', '--n', '4', '--X', '1e3']) == 0\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
     )
     src = os.path.dirname(os.path.dirname(quadchar.__file__))
@@ -363,3 +369,59 @@ def test_console_entry_point_subprocess():
 def test_seed_flag_reserved(capsys):
     assert run_cli("--seed", "7", "psi", "--x", "10", "--y", "10") == 0
     assert capsys.readouterr().out.strip() == "10"
+
+
+# Taken from the CLI before its subcommand modules were imported lazily.
+_SURFACE = {
+    ("--help",): (0, """\
+usage: quadchar [-h] [--seed SEED]
+                {psi,delta-max,mean-value,resonate,gcd-sum,verify} ...
+
+Quadratic character sum experiments over fundamental discriminants
+
+positional arguments:
+  {psi,delta-max,mean-value,resonate,gcd-sum,verify}
+    psi                 count y-smooth integers up to x
+    delta-max           max of S_d(x) over a window of fundamental d
+    mean-value          average of chi_d(n) over |d| <= X vs. main term
+    resonate            window scan of a resonator's moment ratio
+    gcd-sum             GCD sum of a squarefree set
+    verify              run a module's pinned invariant checks
+
+options:
+  -h, --help            show this help message and exit
+  --seed SEED           reserved; every construction is deterministic
+""", ""),
+    ("verify", "--help"): (0, """\
+usage: quadchar verify [-h] {arith,charsum,gcd,meanvalue,resonance}
+
+positional arguments:
+  {arith,charsum,gcd,meanvalue,resonance}
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+    ("verify", "nosuch"): (2, "", """\
+usage: quadchar verify [-h] {arith,charsum,gcd,meanvalue,resonance}
+quadchar verify: error: argument suite: invalid choice: 'nosuch' \
+(choose from 'arith', 'charsum', 'gcd', 'meanvalue', 'resonance')
+"""),
+}
+
+
+@pytest.mark.parametrize("argv", list(_SURFACE))
+def test_cli_surface_bytes(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out, err) == _SURFACE[argv]
+    assert cli._VERIFY_SUITES == tuple(sorted(verify.SUITES))
+
+
+def test_readme_library_sketch_runs():
+    # Every name the sketch calls must be exported by the package.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Library sketch", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, str(readme), "exec"), {})

@@ -75,7 +75,7 @@ def test_lane_sums_matches_kronecker(lo, width, ns, chunk):
 @example(0, 8, 3, False, True, 2)  # d = 1 wins with S = 3
 @example(3, 30, 40, True, True, 2)  # x > |d| on the per-d route
 def test_delta_max_matches_kronecker(lo, width, x, absolute, include_unit, chunk):
-    # Windows with floor(x) <= lo read the lanes; the others go per d.
+    # Windows at least floor(x) wide read the lanes; the others go per d.
     if not arith.enumerate_fundamental(lo, lo + width, include_unit):
         with pytest.raises(EmptyWindowError):
             delta_max(lo + 0.5, x, X_hi=lo + width, include_unit=include_unit)
@@ -85,23 +85,28 @@ def test_delta_max_matches_kronecker(lo, width, x, absolute, include_unit, chunk
             mock.patch.object(arith, "lane_sums", spy):
         res = delta_max(lo + 0.5, x, X_hi=lo + width, absolute=absolute,
                         include_unit=include_unit)
-    assert spy.calls == int(x <= lo)
+    assert spy.calls == int(x <= width)
     want = brute_delta_max(lo, lo + width, x, absolute, include_unit)
     assert (res.d_star, res.s_star, res.scanned) == want
 
 
 @pytest.mark.parametrize("absolute", [False, True])
-@pytest.mark.parametrize("X_lo", [30, 57.5, 211, 400.9])
+@pytest.mark.parametrize("X_lo", [0.5, 30, 57.5, 211, 400.9])
 @pytest.mark.parametrize("step, lanes", [(0, True), (1, False)])
 def test_delta_max_path_seam(X_lo, step, lanes, absolute):
-    # floor(x) == floor(X_lo) reads the lanes; floor(X_lo) + 1 goes per d.
+    # floor(x) equal to the window's width, 120, reads the lanes, whether x is
+    # below lo or past it; one more term goes per d.  At lo = 0, d = 1 competes
+    # with include_unit.
     lo = math.floor(X_lo)
-    x = lo + step + 0.5
-    spy = _Spy()
-    with mock.patch.object(arith, "lane_sums", spy):
-        res = delta_max(X_lo, x, X_hi=lo + 120, absolute=absolute)
-    assert spy.calls == int(lanes)
-    assert (res.d_star, res.s_star, res.scanned) == brute_delta_max(lo, lo + 120, x, absolute)
+    x = 120 + step + 0.5
+    for include_unit in (False, True):
+        spy = _Spy()
+        with mock.patch.object(arith, "lane_sums", spy):
+            res = delta_max(X_lo, x, X_hi=lo + 120, absolute=absolute,
+                            include_unit=include_unit)
+        assert spy.calls == int(lanes)
+        want = brute_delta_max(lo, lo + 120, x, absolute, include_unit)
+        assert (res.d_star, res.s_star, res.scanned) == want
 
 
 @pytest.mark.parametrize("x, lanes", [(7.9, True), (8, False), (30, False)])
