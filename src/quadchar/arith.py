@@ -2,13 +2,12 @@
 fundamental discriminants, squarefree structure, smooth numbers, prime sieves.
 
 Everything returns exact integers except error_factors, which is binary64.
-The cached sieves are grown under a lock and read-only afterwards, so all
-functions here can be called concurrently.
+Each cached sieve (primes, smallest prime factors, fundamental flags) is held
+once and grows by one rule, _grown_bound; callers treat it as read-only.
 """
 
 import math
 import sys
-import threading
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -37,16 +36,15 @@ __all__ = [
     "error_factors",
 ]
 
-_LOCK = threading.RLock()
 _MIN_SIEVE = 1 << 12
 
 # The largest bound each cached sieve may grow to, one per kind.  A request
 # past it raises ValueError before anything is allocated.  Peak memory at the
-# budget: about 3 bytes per entry for the flags (squarefree, pos, neg), 1 byte
-# plus the prime list for the prime sieve, 36 bytes per entry for the spf list.
+# budget: about 3 bytes per entry for the flags while they grow (squarefree,
+# pos, neg) and 2 once grown, 1 byte plus the prime list for the prime sieve,
+# 36 bytes per entry for the spf list.
 PRIME_SIEVE_BUDGET = 10**8
 SPF_SIEVE_BUDGET = 10**7
-SQUAREFREE_SIEVE_BUDGET = 10**8
 FUNDAMENTAL_SIEVE_BUDGET = 10**8
 # The most entries a table of smooth numbers may hold, checked before each
 # block of new entries is allocated.  Peak memory at the budget: about 50
@@ -69,8 +67,6 @@ _primes: list[int] = []
 _prime_bound = -1
 _spf: list[int] = []
 _spf_bound = -1
-_sqfree = bytearray()
-_sqfree_bound = -1
 _fund: tuple[bytearray, bytearray] = (bytearray(), bytearray())
 _fund_bound = -1
 _CHI_MOD_8 = (0, 1, 0, -1, 0, -1, 0, 1)  # chi_d(2) by d mod 8
@@ -87,16 +83,14 @@ def _grown_bound(n: int, bound: int, budget: int, kind: str) -> int:
 def _ensure_primes(n: int) -> list[int]:
     global _primes, _prime_bound
     if n > _prime_bound:
-        with _LOCK:
-            if n > _prime_bound:
-                bound = _grown_bound(n, _prime_bound, PRIME_SIEVE_BUDGET, "prime")
-                flags = bytearray([1]) * (bound + 1)
-                flags[:2] = b"\0\0"
-                for p in range(2, math.isqrt(bound) + 1):
-                    if flags[p]:
-                        flags[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
-                _primes = list(compress(range(bound + 1), flags))
-                _prime_bound = bound
+        bound = _grown_bound(n, _prime_bound, PRIME_SIEVE_BUDGET, "prime")
+        flags = bytearray([1]) * (bound + 1)
+        flags[:2] = b"\0\0"
+        for p in range(2, math.isqrt(bound) + 1):
+            if flags[p]:
+                flags[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
+        _primes = list(compress(range(bound + 1), flags))
+        _prime_bound = bound
     return _primes
 
 
@@ -116,8 +110,7 @@ def _trial_primes(n: int):
 
 def _primes_beyond(done: int):
     while True:
-        # Double, but stop at the budget once before going past it.
-        primes = _ensure_primes(max(min(2 * _prime_bound, PRIME_SIEVE_BUDGET), _prime_bound + 1))
+        primes = _ensure_primes(_prime_bound + 1)
         yield from islice(primes, done, None)
         done = len(primes)
 
@@ -138,32 +131,27 @@ def smallest_prime_factors(n: int) -> list[int]:
     global _spf, _spf_bound
     n = int(n)
     if n > _spf_bound:
-        with _LOCK:
-            if n > _spf_bound:
-                bound = _grown_bound(n, _spf_bound, SPF_SIEVE_BUDGET, "smallest-prime-factor")
-                spf = list(range(bound + 1))
-                # Descending, so the last write to each entry is its smallest
-                # prime factor (every composite k has one with p * p <= k).
-                for p in reversed(primes_up_to(math.isqrt(bound))):
-                    spf[p * p :: p] = [p] * len(range(p * p, bound + 1, p))
-                _spf = spf
-                _spf_bound = bound
+        bound = _grown_bound(n, _spf_bound, SPF_SIEVE_BUDGET, "smallest-prime-factor")
+        spf = list(range(bound + 1))
+        # Descending, so the last write to each entry is its smallest
+        # prime factor (every composite k has one with p * p <= k).
+        for p in reversed(primes_up_to(math.isqrt(bound))):
+            spf[p * p :: p] = [p] * len(range(p * p, bound + 1, p))
+        _spf = spf
+        _spf_bound = bound
     return _spf
 
 
-def _squarefree_flags(n: int) -> bytearray:
-    global _sqfree, _sqfree_bound
-    if n > _sqfree_bound:
-        with _LOCK:
-            if n > _sqfree_bound:
-                bound = _grown_bound(n, _sqfree_bound, SQUAREFREE_SIEVE_BUDGET, "squarefree")
-                flags = bytearray([1]) * (bound + 1)
-                flags[0] = 0
-                for p in primes_up_to(math.isqrt(bound)):
-                    flags[p * p :: p * p] = bytes(len(range(p * p, bound + 1, p * p)))
-                _sqfree = flags
-                _sqfree_bound = bound
-    return _sqfree
+def _squarefree_flags(bound: int) -> bytearray:
+    """Flags f with f[k] = 1 iff k is squarefree, for 0 <= k <= bound (f[0] = 0).
+
+    Built on each call and not cached; the caller checks the bound.
+    """
+    flags = bytearray([1]) * (bound + 1)
+    flags[0] = 0
+    for p in primes_up_to(math.isqrt(bound)):
+        flags[p * p :: p * p] = bytes(len(range(p * p, bound + 1, p * p)))
+    return flags
 
 
 def kronecker(d: int, n: int) -> int:
@@ -249,22 +237,20 @@ def fundamental_flags(limit: int) -> tuple[bytearray, bytearray]:
     global _fund, _fund_bound
     limit = max(int(limit), 1)
     if limit > _fund_bound:
-        with _LOCK:
-            if limit > _fund_bound:
-                bound = _grown_bound(limit, _fund_bound, FUNDAMENTAL_SIEVE_BUDGET, "fundamental")
-                sq = _squarefree_flags(bound)
-                pos = bytearray(bound + 1)
-                neg = bytearray(bound + 1)
-                # v = 1 mod 4 (and -w with w = 3 mod 4) needs v squarefree;
-                # v = 4m needs m = 2, 3 mod 4 squarefree: v = 8, 12 mod 16
-                # for pos, and w = 8, 4 mod 16 (m = -w/4 = 2, 3 mod 4) for neg.
-                pos[1::4] = sq[1 : bound + 1 : 4]
-                neg[3::4] = sq[3 : bound + 1 : 4]
-                for flags, start, m0 in ((pos, 8, 2), (pos, 12, 3), (neg, 4, 1), (neg, 8, 2)):
-                    count = len(range(start, bound + 1, 16))
-                    flags[start::16] = sq[m0 : m0 + 4 * count : 4]
-                _fund = (pos, neg)
-                _fund_bound = bound
+        bound = _grown_bound(limit, _fund_bound, FUNDAMENTAL_SIEVE_BUDGET, "fundamental")
+        sq = _squarefree_flags(bound)
+        pos = bytearray(bound + 1)
+        neg = bytearray(bound + 1)
+        # v = 1 mod 4 (and -w with w = 3 mod 4) needs v squarefree;
+        # v = 4m needs m = 2, 3 mod 4 squarefree: v = 8, 12 mod 16
+        # for pos, and w = 8, 4 mod 16 (m = -w/4 = 2, 3 mod 4) for neg.
+        pos[1::4] = sq[1 : bound + 1 : 4]
+        neg[3::4] = sq[3 : bound + 1 : 4]
+        for flags, start, m0 in ((pos, 8, 2), (pos, 12, 3), (neg, 4, 1), (neg, 8, 2)):
+            count = len(range(start, bound + 1, 16))
+            flags[start::16] = sq[m0 : m0 + 4 * count : 4]
+        _fund = (pos, neg)
+        _fund_bound = bound
     return _fund
 
 
@@ -470,36 +456,27 @@ def _smooth_table(cap: int, ybound: int) -> tuple[int, ...]:
     return tuple(vals)
 
 
-def _smooth_prefix(x: float, y: float) -> tuple[tuple[int, ...], int]:
+def _smooth_prefix(x: float, y: float):
+    """(table, cut): table[:cut] holds the y-smooth n <= x, ascending."""
     if not (x >= 1 and y >= 1):
         raise ValueError(f"need x >= 1 and y >= 1, got ({x}, {y})")
     m = math.floor(x)
-    yb = min(math.floor(y), m)
-    cap = max(1 << (m - 1).bit_length() if m > 1 else 1, _MIN_SIEVE)
-    tbl = _smooth_table(cap, yb)
+    if y >= m:
+        return range(1, m + 1), m
+    # Here m > y >= 1; a power-of-two cap lets nearby x share a cached table.
+    tbl = _smooth_table(max(1 << (m - 1).bit_length(), _MIN_SIEVE), math.floor(y))
     return tbl, bisect_right(tbl, m)
 
 
 def enumerate_smooth(x: float, y: float) -> list[int]:
     """All n <= x whose prime factors are all <= y, ascending (1 included)."""
-    m = math.floor(x)
-    if y >= m:
-        if not (x >= 1 and y >= 1):
-            raise ValueError(f"need x >= 1 and y >= 1, got ({x}, {y})")
-        return list(range(1, m + 1))
     tbl, cut = _smooth_prefix(x, y)
     return list(tbl[:cut])
 
 
 def psi_count(x: float, y: float) -> int:
     """Psi(x, y): the number of y-smooth integers in [1, x]."""
-    m = math.floor(x)
-    if y >= m:
-        if not (x >= 1 and y >= 1):
-            raise ValueError(f"need x >= 1 and y >= 1, got ({x}, {y})")
-        return m
-    _, cut = _smooth_prefix(x, y)
-    return cut
+    return _smooth_prefix(x, y)[1]
 
 
 def error_factors(n: int, eps: float = 0.05) -> tuple[float, float]:

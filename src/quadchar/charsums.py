@@ -42,10 +42,11 @@ def _dval(d) -> int:
 def _char_values(d: int, m: int) -> list[int]:
     # chi_d(0..m); chi at primes via the Kronecker symbol, composites filled
     # through complete multiplicativity (chi(n) = chi(spf) * chi(n/spf)).
+    # The spf sieve checks its budget before anything sized by m is built.
+    spf = arith.smallest_prime_factors(m) if m >= 2 else []
     vals = [0] * (m + 1)
     if m >= 1:
         vals[1] = 1
-    spf = arith.smallest_prime_factors(m) if m >= 2 else []
     kron = arith.kronecker
     for n in range(2, m + 1):
         p = spf[n]

@@ -2,6 +2,7 @@ import contextlib
 import functools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -261,8 +262,8 @@ def test_fundamental_density_at_1e5():
 
 ORACLE_MAX = 3000
 _SIEVE_STATE = (
-    "_primes", "_prime_bound", "_spf", "_spf_bound", "_sqfree", "_sqfree_bound",
-    "_fund", "_fund_bound", "_MIN_SIEVE", "FUNDAMENTAL_SIEVE_BUDGET",
+    "_primes", "_prime_bound", "_spf", "_spf_bound", "_fund", "_fund_bound",
+    "_MIN_SIEVE", "FUNDAMENTAL_SIEVE_BUDGET",
 )
 
 
@@ -271,7 +272,7 @@ def exact_sieves():
     """Empty sieve caches that grow to exactly the bound asked for (2 at
     least); the shared caches and budgets are put back afterwards."""
     saved = {name: getattr(arith, name) for name in _SIEVE_STATE}
-    arith._prime_bound = arith._spf_bound = arith._sqfree_bound = arith._fund_bound = -1
+    arith._prime_bound = arith._spf_bound = arith._fund_bound = -1
     arith._MIN_SIEVE = 2
     try:
         yield
@@ -348,9 +349,24 @@ def test_sieves_past_budget_raise_before_allocating():
     # Each request is one past its budget, so it must fail on the size check.
     for sieve, budget in (
         (arith.fundamental_flags, arith.FUNDAMENTAL_SIEVE_BUDGET),
-        (arith._squarefree_flags, arith.SQUAREFREE_SIEVE_BUDGET),
         (arith.smallest_prime_factors, arith.SPF_SIEVE_BUDGET),
         (primes_up_to, arith.PRIME_SIEVE_BUDGET),
     ):
         with pytest.raises(ValueError, match="exceeds its budget"):
             sieve(budget + 1)
+
+
+def test_fundamental_flags_keep_two_bytes_per_entry():
+    # pos and neg stay, one byte each; the squarefree table they are cut
+    # from is let go once they are built.
+    n = 200_000
+    with exact_sieves():
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            arith.fundamental_flags(n)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert arith._fund_bound == n
+    assert kept < 2.5 * n

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -126,3 +127,19 @@ def test_pv_baseline():
     assert seq == sorted(seq)
     with pytest.raises(ValueError):
         pv_baseline(1)
+
+
+def test_char_sums_past_spf_budget_raise_before_allocating(monkeypatch):
+    # Nothing sized by x may be built before the spf sieve refuses x.
+    monkeypatch.setattr(arith, "SPF_SIEVE_BUDGET", 1000)
+    monkeypatch.setattr(arith, "_spf_bound", -1)
+    d, x = 200009, 200000
+    for call in (char_sum, char_sum_prefix):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="sieve up to 200000 exceeds its budget of 1000"):
+                call(d, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
