@@ -1,5 +1,6 @@
 """Exact integer arithmetic shared by the whole package: Kronecker symbols,
-fundamental discriminants, squarefree structure, smooth numbers, prime sieves.
+fundamental discriminants, squarefree structure, smooth numbers, prime sieves,
+and _record, the frozen-record decorator of every result class.
 
 Everything returns exact integers except error_factors, which is binary64.
 Each cached sieve (primes, smallest prime factors, fundamental flags) is held
@@ -10,7 +11,6 @@ import math
 import sys
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, compress, islice
 
@@ -62,6 +62,10 @@ LANE_CHUNK_BUDGET = 1 << 20
 # lane_sums adds fewer than this many terms chi + 1 <= 2 per lane, so a
 # 16-bit lane never overflows.
 LANE_TERMS = 1 << 15
+# The most terms chi_d(n) a window scan may add one d at a time, off the lane
+# route: the d scanned times min(floor(x), hi), checked before the first d.
+# About 24 s at the budget on a 2-core Intel Xeon (2,000 d at x = 5e4).
+SCAN_TERM_BUDGET = 10**8
 
 _primes: list[int] = []
 _prime_bound = -1
@@ -342,7 +346,48 @@ def lane_sums(lo: int, hi: int, ns) -> memoryview:
     return memoryview(out).cast("H")
 
 
-@dataclass(frozen=True)
+def _record(cls=None, *, derived=()):
+    """Class decorator for a frozen record, in place of a frozen dataclass,
+    whose module costs a cold start about 8 ms.  The fields are the annotated
+    names, in order, a class-level value being a default.  __init__ takes those
+    not in derived, by position or keyword, then calls __post_init__, which
+    sets the derived ones.  Records compare and hash by their field tuple,
+    print as QualName(field=value, ...), and refuse assignment and deletion."""
+    if cls is None:
+        return lambda c: _record(c, derived=derived)
+    fields = tuple(cls.__annotations__)
+    params = tuple(f for f in fields if f not in derived)
+    defaults = {f: cls.__dict__[f] for f in params if f in cls.__dict__}
+    post_init = getattr(cls, "__post_init__", lambda self: None)
+
+    def __init__(self, *args, **kwargs):
+        given = dict(zip(params, args))
+        values = {**defaults, **given, **kwargs}
+        if len(args) > len(params) or given.keys() & kwargs.keys() or values.keys() != set(params):
+            raise TypeError(f"{cls.__qualname__}() takes {params}, got {len(args)} positional "
+                            f"arguments and keywords {sorted(kwargs)}")
+        self.__dict__.update(values)
+        post_init(self)
+
+    def key(self):
+        return tuple(getattr(self, f) for f in fields)
+
+    def __eq__(self, other):
+        return key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self):
+        return f"{cls.__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in fields)})"
+
+    def frozen(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
+    cls.__hash__ = lambda self: hash(key(self))
+    cls.__setattr__ = cls.__delattr__ = frozen
+    return cls
+
+
+@_record
 class Discriminant:
     """A validated fundamental discriminant; rejects everything else."""
 
@@ -359,7 +404,7 @@ class Discriminant:
         return self.value
 
 
-@dataclass(frozen=True)
+@_record
 class SquarefreeDecomposition:
     """n = n0 * n1**2 with n0 squarefree (n0 = 1 iff n is a perfect square)."""
 
@@ -419,7 +464,7 @@ def divisor_count(m: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
+@_record
 class SmoothnessParams:
     """A validated (range cutoff, smoothness bound) pair, both finite and >= 1."""
 

@@ -9,7 +9,6 @@ sums go one d at a time through _char_values.
 """
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate, compress
 
 from . import arith
@@ -80,7 +79,7 @@ def window_sums(lo: int, hi: int, x: float, include_unit: bool = False):
     the floor(x) terms chi_d(n) + 1 fitting a 16-bit lane.  The kernel is exact
     for every integer d, so the window's width, not its start, picks the route.
     Otherwise sums is a list with each flagged sum computed one d at a time and
-    0 elsewhere.  Nothing is sized by x.
+    0 elsewhere, within arith.SCAN_TERM_BUDGET.  Nothing is sized by x.
     """
     m = math.floor(x)
     pos, _ = arith.fundamental_flags(hi)
@@ -91,6 +90,10 @@ def window_sums(lo: int, hi: int, x: float, include_unit: bool = False):
         return flags, []
     if m <= hi - lo and m < arith.LANE_TERMS:
         return flags, arith.lane_sums(lo, hi, range(1, m + 1))
+    terms = flags.count(1) * min(m, hi)
+    if terms > arith.SCAN_TERM_BUDGET:
+        raise ValueError(f"scan of {terms} terms one d at a time exceeds its budget of "
+                         f"{arith.SCAN_TERM_BUDGET}")
     ds = range(lo + 1, hi + 1)
     return flags, [_char_sum_trusted(d, x) + m if f else 0 for d, f in zip(ds, flags)]
 
@@ -100,7 +103,7 @@ def char_sum(d, x: float) -> int:
     return _char_sum_trusted(_dval(d), x)
 
 
-@dataclass(frozen=True)
+@arith._record
 class CharSumProfile:
     """Running values of S_d at every cutoff 1..x_max."""
 
@@ -123,7 +126,7 @@ def char_sum_prefix(d, x_max: int) -> CharSumProfile:
     )
 
 
-@dataclass(frozen=True)
+@arith._record
 class MaxSearchResult:
     """Exhaustive maximum of S_d(x) over fundamental d in (window_lo, window_hi].
 

@@ -19,14 +19,12 @@ criteria 1, 2, 5, 6, 7 and 8 run the shared checks of the verify suites.
 """
 
 import argparse
-import csv
-import json
 import math
 import sys
 
 from . import arith, charsums
 
-# The other modules are imported by the subcommands that run them, so a cold
+# The other modules, csv and json are imported where they are used, so a cold
 # request compiles only what it uses.  The sorted keys of verify.SUITES, kept
 # as a literal so that parsing arguments does not import verify:
 _VERIFY_SUITES = ("arith", "charsum", "gcd", "meanvalue", "resonance")
@@ -67,12 +65,16 @@ _THEOREM_BY_VARIANT = {"short": "1.1", "medium": "1.2", "long": "1.3"}
 
 
 def _write_json(path: str, payload: dict) -> None:
+    import json
+
     with open(path, "w", encoding="ascii") as fh:
         json.dump(payload, fh)
         fh.write("\n")
 
 
 def _write_csv(path: str, header, row) -> None:
+    import csv
+
     with open(path, "w", encoding="ascii", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)

@@ -5,7 +5,6 @@ minimal prime pool), and the asymptotic reference curve for display.
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from itertools import combinations, islice
 
 from . import arith
@@ -20,7 +19,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@arith._record(derived=("y_M",))
 class GcdSet:
     """A finite set of positive squarefree integers, stored ascending.
 
@@ -28,7 +27,7 @@ class GcdSet:
     """
 
     members: tuple[int, ...]
-    y_M: int = field(init=False)
+    y_M: int
 
     def __post_init__(self):
         m = tuple(int(v) for v in self.members)

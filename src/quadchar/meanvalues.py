@@ -4,7 +4,6 @@ error envelopes (implied constants taken as 1; reported, never asserted).
 """
 
 import math
-from dataclasses import dataclass
 
 from . import arith
 
@@ -71,7 +70,7 @@ def mean_value_main_term(n: int, X: float) -> float:
     return X * _INV_ZETA2 * prod
 
 
-@dataclass(frozen=True)
+@arith._record
 class MeanValueReport:
     """Exact average vs. main term for one (n, X), plus report-only envelopes."""
 

@@ -17,7 +17,6 @@ which keeps every report well defined at desk scale.
 """
 
 import math
-from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, Optional, Union
 
@@ -83,7 +82,7 @@ class _Memo(dict):
         return v
 
 
-@dataclass(frozen=True)
+@arith._record
 class ShortResonator:
     X: float
     x: float
@@ -102,7 +101,7 @@ class ShortResonator:
             raise ValueError(f"coefficient a_p must lie in [0, 1), got {self.a_p}")
 
 
-@dataclass(frozen=True)
+@arith._record
 class MediumResonator:
     X: float
     x: float
@@ -117,7 +116,7 @@ class MediumResonator:
     variant = "medium"
 
 
-@dataclass(frozen=True)
+@arith._record
 class LongResonator:
     X: float
     x: float
@@ -274,7 +273,7 @@ def resonator_value(spec: ResonatorSpec, d) -> float:
     raise TypeError(f"not a resonator spec: {spec!r}")
 
 
-@dataclass(frozen=True)
+@arith._record
 class RatioReport:
     """One window scan: exact moments, their ratio, and the observed maximum.
 
@@ -422,7 +421,7 @@ def moment_ratio(spec: ResonatorSpec, squared: bool = False) -> RatioReport:
     )
 
 
-@dataclass(frozen=True)
+@arith._record
 class ShortChainReport:
     """The smooth-coefficient chain sums of the short construction.
 

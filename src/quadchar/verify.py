@@ -8,7 +8,6 @@ pure-Python gcd/lcm pair sums, and sieve walks that bypass trial division.
 
 import math
 import random
-from dataclasses import dataclass
 from itertools import combinations
 
 from . import arith, charsums, gcdsum, meanvalues, resonance
@@ -16,7 +15,7 @@ from . import arith, charsums, gcdsum, meanvalues, resonance
 __all__ = ["CheckResult", "run_suite", "SUITES"]
 
 
-@dataclass(frozen=True)
+@arith._record
 class CheckResult:
     name: str
     passed: bool

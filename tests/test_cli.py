@@ -211,6 +211,34 @@ def test_long_resonator_set_budget_boundary(budget, rc, monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("x, rc", [("50", 0), ("51", 2)])
+def test_scan_term_budget_boundary(x, rc, monkeypatch, capsys):
+    # 101 is the one fundamental d in (100, 101], so the scan adds floor(x)
+    # terms, one d at a time since floor(x) exceeds the window's width.
+    monkeypatch.setattr(arith, "SCAN_TERM_BUDGET", 50)
+    assert run_cli("delta-max", "--X", "100", "--hi", "101", "--x", x) == rc
+    out, err = capsys.readouterr()
+    if rc:
+        assert out == ""
+        assert err == "error: scan of 51 terms one d at a time exceeds its budget of 50\n"
+
+
+def test_scan_term_budget_covers_resonate_and_the_hours_long_scan(monkeypatch, capsys):
+    # moment_ratio scans through the same window_sums, so it meets the same budget.
+    monkeypatch.setattr(arith, "SCAN_TERM_BUDGET", 1000)
+    assert run_cli("resonate", "--variant", "medium", "--X", "100", "--x", "150") == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: scan of") and err.count("\n") == 1
+    monkeypatch.undo()
+    # About 1.2e11 terms one d at a time, some 7 h: refused once the flags are built.
+    assert run_cli("delta-max", "--X", "1e7", "--x", "40000") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: scan of 121584760000 terms one d at a time exceeds its budget of 100000000\n"
+    )
+
+
 def _no_extremal_set(N):
     raise AssertionError("the GCD set is built before the sieve budget is checked")
 
@@ -247,23 +275,33 @@ def test_memory_error_exits_2(monkeypatch, capsys):
     assert err.startswith("error:") and "out of memory" in err and err.count("\n") == 1
 
 
-def test_cli_never_imports_numpy():
+def test_cli_never_imports_numpy(tmp_path):
     # Neither numpy nor a module the request does not run: importing the CLI,
-    # psi and delta-max load no resonance, gcdsum, meanvalues or verify.
+    # psi and delta-max load no resonance, gcdsum, meanvalues or verify.  No
+    # subcommand loads dataclasses (nor inspect and ast behind it) or csv, and
+    # json comes in only with --json.
     code = (
         "import sys\n"
         "import quadchar, quadchar.cli\n"
         "idle = {'quadchar.' + m for m in ('resonance', 'gcdsum', 'meanvalues', 'verify')}\n"
-        "for argv in ([], ['psi', '--x', '100', '--y', '5'], ['delta-max', '--X', '10', '--x', '5']):\n"
+        "never = {'numpy', 'dataclasses', 'inspect', 'ast', 'csv'}\n"
+        "requests = [[], ['psi', '--x', '100', '--y', '5'], ['delta-max', '--X', '10', '--x', '5'],\n"
+        "    ['mean-value', '--n', '4', '--X', '1e3'], ['gcd-sum', '--N', '10'],\n"
+        "    ['resonate', '--variant', 'short', '--X', '3000', '--x', '25'],\n"
+        "    ['resonate', '--variant', 'medium', '--X', '5000', '--x', '3'],\n"
+        "    ['resonate', '--variant', 'long', '--X', '5000', '--x', '3'], ['verify', 'meanvalue']]\n"
+        "for i, argv in enumerate(requests):\n"
         "    assert not argv or quadchar.cli.main(argv) == 0, argv\n"
-        "    assert not idle & set(sys.modules), (argv, sorted(idle & set(sys.modules)))\n"
-        "assert quadchar.cli.main(['mean-value', '--n', '4', '--X', '1e3']) == 0\n"
-        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        "    assert i > 2 or not idle & set(sys.modules), (argv, sorted(idle & set(sys.modules)))\n"
+        "    loaded = (never | {'json'}) & set(sys.modules)\n"
+        "    assert not loaded, (argv, sorted(loaded))\n"
+        "assert quadchar.cli.main(['delta-max', '--X', '10', '--x', '5', '--json', sys.argv[1]]) == 0\n"
+        "assert 'json' in sys.modules and not never & set(sys.modules), sorted(never & set(sys.modules))\n"
     )
     src = os.path.dirname(os.path.dirname(quadchar.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out.json")],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
 
 

@@ -3,7 +3,6 @@ window scans that read from it, against a brute-force kronecker loop."""
 
 import math
 import tracemalloc
-from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -165,7 +164,7 @@ def test_moment_ratio_same_bits_on_every_route(variant, X, x, squared, monkeypat
     spec = build_resonator(variant, X, x)
     if variant == "long":
         # floor(x) - 1 members, so R(d) still fits the narrowed lanes below
-        spec = replace(spec, N=m - 1, M=GcdSet(spec.members[: m - 1]))
+        spec = LongResonator(spec.X, spec.x, spec.delta, N=m - 1, M=GcdSet(spec.members[: m - 1]))
     spy = _Spy()
     monkeypatch.setattr(arith, "lane_sums", spy)
     lanes = moment_ratio(spec, squared=squared)
